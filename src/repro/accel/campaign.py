@@ -1,37 +1,36 @@
 """SFI campaigns against accelerator memories (the paper's Section V-E).
 
-Mirrors the CPU campaign flow: golden standalone run → uniform fault sample
-over one component's bits and the kernel's cycle span → one run per fault →
-Masked / SDC / Crash classification.  For SPM/RegBank targets the paper
-notes HVF and AVF coincide (any consumed corruption is architecturally
-visible), so records carry ``hvf = CORRUPTION`` exactly for non-masked runs.
+The DSA side of the campaign kernel in :mod:`repro.core.campaign`:
+:class:`AccelSubstrate` supplies the golden standalone run, the sample over
+one component's bits and the kernel's cycle span, and one unguarded
+injected run; the guarded per-fault path, the run loop and the result type
+are the CPU campaign's.  For SPM/RegBank targets the paper notes HVF and
+AVF coincide (any consumed corruption is architecturally visible), so
+records carry ``hvf = CORRUPTION`` exactly for non-masked runs and the
+summary reports no separate HVF.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.accel.cluster import Accelerator
 from repro.accel.dataflow import DataflowEngine, FUConfig
 from repro.accel.spm import ScratchpadMemory
 from repro.accel_designs import get_design
-from repro.core.faultmodels import FaultModelSpec, accel_sample, validate_for
-from repro.core.faults import FaultMask, FaultModel
-from repro.core.journal import CampaignJournal
-from repro.core.liveness import (
-    LivenessMap,
-    attach_accel_recorder,
-    mask_provably_dead,
-)
-from repro.core.outcome import HVFClass, Outcome
 from repro.core.campaign import (
+    CampaignResult,
     FaultRecord,
     SimulatorFault,
-    liveness_masked_record,
-    quarantine_record,
+    guarded_fault,
+    require_known,
+    run_campaign,
 )
+from repro.core.faultmodels import FaultModelSpec, accel_sample, validate_for
+from repro.core.faults import FaultMask, FaultModel
+from repro.core.liveness import LivenessMap, attach_accel_recorder
+from repro.core.outcome import HVFClass, Outcome
 from repro.core.protection import (
     CORRECT,
     DETECT,
@@ -39,7 +38,7 @@ from repro.core.protection import (
     ProtectionConfig,
     ProtectionScheme,
 )
-from repro.core.sampling import AdaptiveSampling, error_margin_for
+from repro.core.sampling import AdaptiveSampling
 from repro.core.sanitizer import (
     DEFAULT_HANG_CYCLES,
     DEFAULT_SANITIZER,
@@ -76,6 +75,15 @@ class AccelCampaignSpec:
     #: (``uniform``, ``error-map``).
     fault_model: FaultModelSpec | None = None
 
+    def substrate(self, checkpoints=None,
+                  sanitizer: SanitizerPolicy | None = None,
+                  hang_cycles: int = DEFAULT_HANG_CYCLES) -> "AccelSubstrate":
+        """The substrate that runs this spec's faults, replaying one
+        :class:`AccelReplayContext` (``checkpoints`` is the CPU's fast
+        path and does not apply)."""
+        return AccelSubstrate(self, sanitizer=sanitizer,
+                              hang_cycles=hang_cycles, replay=True)
+
 
 #: protected accelerator memories decode in 8-byte (64-bit) code words —
 #: the natural SPM access grain, and the same word width the CPU regfile
@@ -86,6 +94,18 @@ ACCEL_WORD_BITS = 64
 def accel_structure_name(spec: AccelCampaignSpec) -> str:
     """The mask structure name accel flips carry."""
     return f"accel:{spec.design}:{spec.component}"
+
+
+def component_size(spec: AccelCampaignSpec) -> int:
+    """Bytes of the spec's component (``KeyError`` lists the known ones)."""
+    sizes = {d.name: d.size for d in get_design(spec.design).memories}
+    try:
+        return sizes[spec.component]
+    except KeyError:
+        raise KeyError(
+            f"unknown component {spec.component!r} of design "
+            f"{spec.design!r}; available: {', '.join(sizes)}"
+        ) from None
 
 
 def accel_scheme(spec: AccelCampaignSpec) -> ProtectionScheme | None:
@@ -291,150 +311,6 @@ class AccelGolden:
     liveness: LivenessMap | None = field(default=None, repr=False)
 
 
-@dataclass
-class AccelCampaignResult:
-    spec: AccelCampaignSpec
-    records: list[FaultRecord]
-    golden: AccelGolden
-    population_bits: int
-    #: masks satisfied from a resume journal instead of fresh simulation
-    resumed: int = 0
-    #: adaptive sequential sampling stopped the campaign before the fixed
-    #: fault budget (``spec.faults``); ``error_margin`` is the achieved one
-    stopped_early: bool = False
-
-    @property
-    def valid_records(self) -> list[FaultRecord]:
-        return [r for r in self.records if r.outcome is not Outcome.SIM_FAULT]
-
-    def count(self, outcome: Outcome) -> int:
-        return sum(1 for r in self.records if r.outcome is outcome)
-
-    @property
-    def quarantined(self) -> int:
-        return self.count(Outcome.SIM_FAULT)
-
-    @property
-    def retried(self) -> int:
-        return sum(1 for r in self.records if r.retries)
-
-    @property
-    def timeouts(self) -> int:
-        return sum(1 for r in self.records if r.crash_reason == "timeout")
-
-    @property
-    def hangs(self) -> int:
-        return sum(1 for r in self.records if r.crash_reason == "hang")
-
-    @property
-    def integrity_quarantined(self) -> int:
-        return sum(1 for r in self.records if r.sim_error_kind == "integrity")
-
-    @property
-    def liveness_skips(self) -> int:
-        """Records classified analytically by the liveness pre-analysis."""
-        return sum(1 for r in self.records if r.classified_by == "liveness")
-
-    @property
-    def liveness_disagreements(self) -> int:
-        """Audit-mode quarantines where simulation contradicted the claim."""
-        return sum(1 for r in self.records if r.sim_error_kind == "liveness")
-
-    @property
-    def avf(self) -> float | None:
-        """``None`` for a degenerate campaign (no valid record to judge)."""
-        valid = self.valid_records
-        if not valid:
-            return None
-        return 1 - sum(1 for r in valid if r.outcome is Outcome.MASKED) / len(valid)
-
-    @property
-    def sdc_avf(self) -> float | None:
-        valid = self.valid_records
-        return self.count(Outcome.SDC) / len(valid) if valid else None
-
-    @property
-    def crash_avf(self) -> float | None:
-        valid = self.valid_records
-        return self.count(Outcome.CRASH) / len(valid) if valid else None
-
-    @property
-    def due_avf(self) -> float | None:
-        """Detected-uncorrectable share of the AVF (machine checks)."""
-        valid = self.valid_records
-        return self.count(Outcome.DUE) / len(valid) if valid else None
-
-    @property
-    def corrected(self) -> int:
-        """Runs whose flip the protection scheme repaired in place."""
-        return sum(1 for r in self.records if r.masked_reason == "corrected")
-
-    @property
-    def coverage(self) -> float | None:
-        """``(corrected + DUE) / (corrected + DUE + SDC + CRASH)``."""
-        caught = self.corrected + self.count(Outcome.DUE)
-        exercised = caught + self.count(Outcome.SDC) + self.count(Outcome.CRASH)
-        return caught / exercised if exercised else None
-
-    @property
-    def residual_sdc_avf(self) -> float | None:
-        """SDC remaining *despite* protection (multi-bit escapes)."""
-        return self.sdc_avf
-
-    @property
-    def error_margin(self) -> float | None:
-        """Achieved margin of the valid sample (``None`` when it is empty)."""
-        n = len(self.valid_records)
-        if n == 0:
-            return None
-        return error_margin_for(n, self.population_bits)
-
-    def summary(self) -> dict:
-        out = {
-            "design": self.spec.design,
-            "component": self.spec.component,
-            "model": self.spec.model.value,
-            "faults": len(self.records),
-            "budget": self.spec.faults,
-            "n_valid": len(self.valid_records),
-            "avf": self.avf,
-            "sdc_avf": self.sdc_avf,
-            "crash_avf": self.crash_avf,
-            "error_margin": self.error_margin,
-            "stopped_early": self.stopped_early,
-            "golden_cycles": self.golden.cycles,
-            "quarantined": self.quarantined,
-            "retried": self.retried,
-            "timeouts": self.timeouts,
-            "resumed": self.resumed,
-        }
-        if self.spec.protection is not None and self.spec.protection.enabled:
-            # protection-only keys: an unprotected summary renders exactly
-            # as it always has
-            scheme = accel_scheme(self.spec)
-            out["protection"] = scheme.name if scheme is not None else "none"
-            out["due_avf"] = self.due_avf
-            out["corrected"] = self.corrected
-            out["coverage"] = self.coverage
-            out["residual_sdc_avf"] = self.residual_sdc_avf
-        if self.spec.liveness is not None:
-            # liveness-only keys: an unset summary renders exactly as it
-            # always has
-            out["liveness"] = self.spec.liveness
-            out["liveness_skips"] = self.liveness_skips
-            out["liveness_skip_rate"] = (
-                self.liveness_skips / len(self.records)
-                if self.records else None
-            )
-            if self.spec.liveness == "audit":
-                out["liveness_disagreements"] = self.liveness_disagreements
-        if self.spec.fault_model is not None:
-            # fault-model-only key: a default-generator summary renders
-            # exactly as it always has
-            out["fault_model"] = self.spec.fault_model.describe()
-        return out
-
-
 class AccelReplayContext:
     """Reusable post-DMA accelerator state for back-to-back fault runs.
 
@@ -522,9 +398,7 @@ def accel_masks(spec: AccelCampaignSpec, golden: AccelGolden) -> list[FaultMask]
     replacement over ``(bit, cycle)`` sites so the sample size honestly
     reflects ``error_margin_for``'s distinct-sample assumption.
     """
-    design = get_design(spec.design)
-    size = {d.name: d.size for d in design.memories}[spec.component]
-    total_bits = accel_population_bits(spec, size)
+    total_bits = accel_population_bits(spec, component_size(spec))
     return accel_sample(
         spec.fault_model,
         structure=accel_structure_name(spec),
@@ -536,211 +410,172 @@ def accel_masks(spec: AccelCampaignSpec, golden: AccelGolden) -> list[FaultMask]
     )
 
 
-def _simulate_one_accel(spec: AccelCampaignSpec, mask: FaultMask,
-                        golden: AccelGolden,
-                        ctx: AccelReplayContext | None = None,
-                        sanitizer: SanitizerPolicy | None = None,
-                        hang_cycles: int = DEFAULT_HANG_CYCLES) -> FaultRecord:
-    """One injected accelerator run, unguarded (simulator bugs raise
-    :class:`SimulatorFault` for :func:`run_one_accel_fault` to quarantine,
-    sanitizer hits raise :class:`IntegrityViolation` for it to escalate)."""
-    max_cycles = golden.cycles * spec.watchdog_factor + 1000
-    try:
-        if ctx is not None:
-            accel = ctx.reset()
+class AccelSubstrate:
+    """The :class:`~repro.core.campaign.Substrate` for one DSA memory.
+
+    The fast path resets a reusable :class:`AccelReplayContext` instead of
+    instantiating the design and re-running its DMA; the retry after a
+    simulator exception builds a pristine instantiation, so a corrupted
+    context either turns out flaky or reproduces deterministically.  With
+    ``replay`` set and no ``ctx`` given, the context is built on first use.
+    """
+
+    checkpoints = None
+    reports_hvf = False
+    retry_fast = False
+
+    def __init__(self, spec: AccelCampaignSpec,
+                 ctx: AccelReplayContext | None = None, *,
+                 sanitizer: SanitizerPolicy | None = None,
+                 hang_cycles: int = DEFAULT_HANG_CYCLES,
+                 replay: bool = False):
+        self.spec = spec
+        self.structure = accel_structure_name(spec)
+        self._ctx = ctx
+        self._replay = replay
+        self.sanitizer = sanitizer if sanitizer is not None else DEFAULT_SANITIZER
+        self.hang_cycles = hang_cycles
+
+    @property
+    def ctx(self) -> AccelReplayContext | None:
+        if self._ctx is None and self._replay:
+            self._ctx = AccelReplayContext(self.spec)
+        return self._ctx
+
+    def identity(self) -> dict:
+        spec = self.spec
+        return {"design": spec.design, "component": spec.component,
+                "model": spec.model.value}
+
+    def check(self) -> None:
+        require_known(get_design, self.spec.design)
+        require_known(lambda _name: component_size(self.spec),
+                      self.spec.component)
+        validate_for(self.spec.fault_model, accel=True, model=self.spec.model)
+
+    def golden(self) -> AccelGolden:
+        return accel_golden(self.spec, liveness=self.spec.liveness is not None)
+
+    def masks(self, golden: AccelGolden) -> list[FaultMask]:
+        return accel_masks(self.spec, golden)
+
+    def population_bits(self, golden: AccelGolden) -> int:
+        return accel_population_bits(self.spec, component_size(self.spec))
+
+    def watchdog(self, golden: AccelGolden) -> int:
+        return golden.cycles * self.spec.watchdog_factor + 1000
+
+    def skipped_cycles(self, mask: FaultMask, golden: AccelGolden) -> int:
+        return 0
+
+    def fast_used(self, mask: FaultMask, golden: AccelGolden,
+                  fast: bool) -> bool:
+        return fast and self.ctx is not None
+
+    def run_fault(self, mask: FaultMask, golden=None) -> FaultRecord:
+        return run_one_accel_fault(self.spec, mask, self.ctx,
+                                   sanitizer=self.sanitizer,
+                                   hang_cycles=self.hang_cycles)
+
+    def simulate(self, mask: FaultMask, golden: AccelGolden,
+                 fast: bool) -> FaultRecord:
+        """One injected accelerator run, unguarded."""
+        spec = self.spec
+        ctx = self.ctx if fast else None
+        max_cycles = self.watchdog(golden)
+        try:
+            if ctx is not None:
+                accel = ctx.reset()
+            else:
+                accel = get_design(spec.design).instantiate(spec.fu)
+                accel.load_inputs(spec.scale)
+            injector = AccelInjector(mask, accel.mem(spec.component),
+                                     scheme=accel_scheme(spec),
+                                     structure=self.structure)
+            engine = DataflowEngine(
+                accel.kernel(spec.scale),
+                accel.memmap,
+                accel.fu,
+                watchdog_cycles=max_cycles,
+                hang_cycles=self.hang_cycles,
+            )
+            engine.injector = injector
+            sanitizer = self.sanitizer
+            auditor = (
+                AccelAuditor(sanitizer, injector, mask)
+                if sanitizer is not None and sanitizer.enabled else None
+            )
+            engine.sanitizer = auditor
+            result = engine.run()
+            if result.ok:
+                # patrol scrub before the output dump (dump() fires no
+                # probe): a resident detectable error must machine-check,
+                # not read out
+                injector.finish()
+            if auditor is not None:
+                auditor.audit(engine)   # final audit of the terminal state
+        except MachineCheckError as exc:
+            # protection flagged an uncorrectable error: a first-class DUE —
+            # the machine *knows* it failed, unlike an SDC
+            return FaultRecord(
+                mask=mask,
+                outcome=Outcome.DUE,
+                hvf=HVFClass.CORRUPTION,
+                cycles=engine.cycle,
+                activated=False,
+                max_cycles=max_cycles,
+                detected_by=exc.detected_by,
+            )
+        except IntegrityViolation:
+            # impossible state caught mid-run — escalate upstream untouched
+            raise
+        except Exception as exc:
+            raise SimulatorFault(exc, snapshot={
+                "design": spec.design,
+                "component": spec.component,
+                "mask_id": mask.mask_id,
+            }) from exc
+
+        if injector.early_masked and result.ok:
+            outcome, reason = Outcome.MASKED, injector.masked_reason()
+            hvf = HVFClass.BENIGN
+        elif not result.ok:
+            outcome, reason, hvf = Outcome.CRASH, None, HVFClass.CORRUPTION
         else:
-            accel = get_design(spec.design).instantiate(spec.fu)
-            accel.load_inputs(spec.scale)
-        injector = AccelInjector(mask, accel.mem(spec.component),
-                                 scheme=accel_scheme(spec),
-                                 structure=accel_structure_name(spec))
-        engine = DataflowEngine(
-            accel.kernel(spec.scale),
-            accel.memmap,
-            accel.fu,
-            watchdog_cycles=max_cycles,
-            hang_cycles=hang_cycles,
-        )
-        engine.injector = injector
-        auditor = (
-            AccelAuditor(sanitizer, injector, mask)
-            if sanitizer is not None and sanitizer.enabled else None
-        )
-        engine.sanitizer = auditor
-        result = engine.run()
-        if result.ok:
-            # patrol scrub before the output dump (dump() fires no probe):
-            # a resident detectable error must machine-check, not read out
-            injector.finish()
-        if auditor is not None:
-            auditor.audit(engine)   # final audit of the terminal state
-    except MachineCheckError as exc:
-        # protection flagged an uncorrectable error: a first-class DUE —
-        # the machine *knows* it failed, unlike an SDC
+            output = b""
+            for name in accel.design.output_memories:
+                mem = accel.memories[name]
+                output += mem.dump(0, mem.used_extent())
+            if output == golden.output:
+                outcome = Outcome.MASKED
+                reason = injector.masked_reason() or "masked_silent"
+                hvf = HVFClass.BENIGN
+            else:
+                outcome, reason, hvf = Outcome.SDC, None, HVFClass.CORRUPTION
         return FaultRecord(
             mask=mask,
-            outcome=Outcome.DUE,
-            hvf=HVFClass.CORRUPTION,
-            cycles=engine.cycle,
-            activated=False,
+            outcome=outcome,
+            hvf=hvf,
+            cycles=result.cycles,
+            masked_reason=reason,
+            crash_reason=result.crashed,
+            activated=injector.state == AccelInjector.READ,
             max_cycles=max_cycles,
-            detected_by=exc.detected_by,
         )
-    except IntegrityViolation:
-        # impossible state caught mid-run — escalate upstream untouched
-        raise
-    except Exception as exc:
-        raise SimulatorFault(exc, snapshot={
-            "design": spec.design,
-            "component": spec.component,
-            "mask_id": mask.mask_id,
-        }) from exc
-
-    if injector.early_masked and result.ok:
-        outcome, reason = Outcome.MASKED, injector.masked_reason()
-        hvf = HVFClass.BENIGN
-        output = golden.output
-    elif not result.ok:
-        outcome, reason, hvf = Outcome.CRASH, None, HVFClass.CORRUPTION
-        output = b""
-    else:
-        output = b""
-        for name in accel.design.output_memories:
-            mem = accel.memories[name]
-            output += mem.dump(0, mem.used_extent())
-        if output == golden.output:
-            outcome = Outcome.MASKED
-            reason = injector.masked_reason() or "masked_silent"
-            hvf = HVFClass.BENIGN
-        else:
-            outcome, reason, hvf = Outcome.SDC, None, HVFClass.CORRUPTION
-    return FaultRecord(
-        mask=mask,
-        outcome=outcome,
-        hvf=hvf,
-        cycles=result.cycles,
-        masked_reason=reason,
-        crash_reason=result.crashed,
-        activated=injector.state == AccelInjector.READ,
-        max_cycles=max_cycles,
-    )
-
-
-def _escalate_accel_integrity(
-    spec: AccelCampaignSpec,
-    mask: FaultMask,
-    golden: AccelGolden,
-    ctx: AccelReplayContext | None,
-    sanitizer: SanitizerPolicy | None,
-    hang_cycles: int,
-    violation: IntegrityViolation,
-) -> FaultRecord:
-    """Differential escalation, accelerator flavor: when the failing run
-    reused an :class:`AccelReplayContext`, re-simulate once from a pristine
-    instantiation — a clean pristine run labels the violation
-    ``checkpoint-divergence`` (the snapshot/reset replay path is the
-    suspect), a dirty one ``deterministic``.  The mask is quarantined
-    either way."""
-    retries = 0
-    if ctx is not None:
-        retries = 1
-        try:
-            _simulate_one_accel(spec, mask, golden, None,
-                                sanitizer=sanitizer, hang_cycles=hang_cycles)
-        except (IntegrityViolation, SimulatorFault):
-            divergence = "deterministic"
-        else:
-            divergence = "checkpoint-divergence"
-    else:
-        divergence = "deterministic"
-    report = replace(violation.report, divergence=divergence)
-    return quarantine_record(mask, "integrity", report.describe(),
-                             retries=retries, integrity=report)
-
-
-def _liveness_claim_accel(spec: AccelCampaignSpec, mask: FaultMask,
-                          golden: AccelGolden) -> FaultRecord | None:
-    """The analytic record for ``mask``, or None when simulation is needed."""
-    if spec.liveness is None or golden.liveness is None:
-        return None
-    protected = (
-        frozenset({accel_structure_name(spec)})
-        if accel_scheme(spec) is not None else frozenset()
-    )
-    if mask_provably_dead(mask, golden.liveness, protected=protected):
-        return liveness_masked_record(mask)
-    return None
-
-
-def _simulate_accel_with_retry(
-    spec: AccelCampaignSpec,
-    mask: FaultMask,
-    golden: AccelGolden,
-    ctx: AccelReplayContext | None,
-    san: SanitizerPolicy,
-    hang_cycles: int,
-) -> FaultRecord:
-    """The supervised simulate path: quarantine boundary + one retry."""
-    try:
-        return _simulate_one_accel(spec, mask, golden, ctx,
-                                   sanitizer=san, hang_cycles=hang_cycles)
-    except IntegrityViolation as viol:
-        return _escalate_accel_integrity(spec, mask, golden, ctx, san,
-                                         hang_cycles, viol)
-    except SimulatorFault as first:
-        first_text = first.describe()
-    try:
-        # retry from a pristine instantiation: if the context itself is the
-        # corruption vector, the fresh build either succeeds (flaky) or
-        # reproduces the fault deterministically
-        record = _simulate_one_accel(spec, mask, golden,
-                                     sanitizer=san, hang_cycles=hang_cycles)
-    except IntegrityViolation as viol:
-        return _escalate_accel_integrity(spec, mask, golden, None, san,
-                                         hang_cycles, viol)
-    except SimulatorFault as second:
-        return quarantine_record(
-            mask, "deterministic", second.describe(), retries=1
-        )
-    return replace(record, retries=record.retries + 1,
-                   sim_error_kind="flaky", error=first_text)
 
 
 def run_one_accel_fault(spec: AccelCampaignSpec, mask: FaultMask,
                         ctx: AccelReplayContext | None = None, *,
                         sanitizer: SanitizerPolicy | None = None,
                         hang_cycles: int = DEFAULT_HANG_CYCLES) -> FaultRecord:
-    """Simulate one accelerator fault with the crash-quarantine boundary:
-    a simulator exception is retried once with the same mask, then
-    quarantined — never aborting the campaign (same policy as the CPU
-    driver's :func:`repro.core.campaign.run_one_fault`).  Sanitizer hits
-    take the differential escalation path and quarantine as
-    ``sim_error_kind="integrity"``.
-
-    With ``spec.liveness`` set, the golden run's dead-window map is
-    consulted first, exactly like the CPU driver: ``"on"`` returns the
-    analytic record for a provably-dead site without simulating, and
-    ``"audit"`` simulates it anyway, quarantining any disagreement with
-    ``sim_error_kind="liveness"``."""
-    golden = accel_golden(spec, liveness=spec.liveness is not None)
-    san = sanitizer if sanitizer is not None else DEFAULT_SANITIZER
-    analytic = _liveness_claim_accel(spec, mask, golden)
-    if analytic is not None and spec.liveness == "on":
-        return analytic
-    record = _simulate_accel_with_retry(spec, mask, golden, ctx, san,
-                                        hang_cycles)
-    if analytic is None:
-        return record
-    if record.outcome is Outcome.SIM_FAULT:
-        return record   # a simulator failure is not evidence either way
-    if record.outcome is Outcome.MASKED:
-        return analytic  # agreement: journal the exact bytes "on" would have
-    return quarantine_record(
-        mask, "liveness",
-        f"liveness pre-analysis claimed mask {mask.mask_id} provably Masked "
-        f"but simulation produced {record.outcome.value}"
-        + (f" ({record.crash_reason})" if record.crash_reason else ""),
-    )
+    """Simulate one accelerator fault through
+    :func:`repro.core.campaign.guarded_fault` — the CPU driver's liveness
+    claim, quarantine-and-retry boundary, integrity escalation and audit
+    reconciliation.  ``ctx`` is the replay context to reset for the first
+    attempt (``None`` instantiates the design afresh)."""
+    sub = AccelSubstrate(spec, ctx, sanitizer=sanitizer,
+                         hang_cycles=hang_cycles)
+    return guarded_fault(sub, mask, sub.golden())
 
 
 def run_accel_campaign(
@@ -753,115 +588,14 @@ def run_accel_campaign(
     hang_cycles: int = DEFAULT_HANG_CYCLES,
     telemetry=None,
     adaptive: AdaptiveSampling | None = None,
-) -> AccelCampaignResult:
-    """Run a DSA fault-injection campaign (journaled + resumable like the
-    CPU driver: see :func:`repro.core.campaign.run_campaign`).
+) -> CampaignResult:
+    """Run a DSA fault-injection campaign on the campaign kernel
+    (:func:`repro.core.campaign.run_campaign`), serially: journaled,
+    resumable, observable and adaptive exactly like a CPU campaign.
 
-    ``sanitizer``/``hang_cycles`` mirror the CPU driver: invariant audits
-    at the policy stride (default sampled) and a deterministic
-    dataflow-progress hang detector (0 disables).  ``telemetry`` is the
-    same observational :class:`repro.core.telemetry.Telemetry` hub the CPU
-    driver accepts; journals are byte-identical with it on or off.
-    ``adaptive`` is the same sequential stopping rule the CPU driver
-    takes: stop at the first batch boundary whose achieved error margin
-    over the valid records reaches the target, making ``spec.faults`` a
-    budget rather than an exact count."""
-    if (spec.protection is not None and spec.protection.enabled
-            and spec.model is not FaultModel.TRANSIENT):
-        raise ValueError(
-            "protection modeling supports transient faults only; run "
-            f"permanent-fault campaigns unprotected (model={spec.model.value})"
-        )
-    if spec.liveness not in (None, "on", "audit"):
-        raise ValueError(
-            f"unknown liveness mode {spec.liveness!r}; "
-            "use None (off), 'on' or 'audit'"
-        )
-    validate_for(spec.fault_model, accel=True, model=spec.model)
-    golden = accel_golden(spec, liveness=spec.liveness is not None)
-    if masks is None:
-        masks = accel_masks(spec, golden)
-    if journal is not None or resume is not None:
-        # mask_id is the journal/resume key; duplicates would collide
-        if len({m.mask_id for m in masks}) != len(masks):
-            raise ValueError("duplicate mask_id in fault sample")
-
-    design = get_design(spec.design)
-    size = {d.name: d.size for d in design.memories}[spec.component]
-    population_bits = accel_population_bits(spec, size)
-
-    done: dict[int, FaultRecord] = {}
-    if resume is not None and Path(resume).exists():
-        journaled = CampaignJournal.completed(resume, spec)
-        done = {
-            m.mask_id: journaled[m.mask_id]
-            for m in masks
-            if m.mask_id in journaled and journaled[m.mask_id].mask == m
-        }
-
-    if telemetry is not None:
-        telemetry.campaign_started(
-            planned=len(masks), resumed=len(done),
-            labels={"design": spec.design, "component": spec.component,
-                    "model": spec.model.value},
-        )
-
-    writer = CampaignJournal.open(journal, spec) if journal is not None else None
-    records: list[FaultRecord] = []
-    resumed = 0
-    stopped_early = False
-    ctx = AccelReplayContext(spec)
-
-    def n_valid() -> int:
-        return sum(1 for r in records if r.outcome is not Outcome.SIM_FAULT)
-
-    try:
-        boundaries = (
-            list(adaptive.boundaries(len(masks))) if adaptive is not None
-            else [len(masks)]
-        )
-        for boundary in boundaries:
-            for m in masks[len(records):boundary]:
-                if m.mask_id in done:
-                    records.append(done[m.mask_id])
-                    resumed += 1
-                    continue
-                if telemetry is not None:
-                    telemetry.fault_dispatched(m.mask_id)
-                started = time.perf_counter()
-                record = run_one_accel_fault(spec, m, ctx, sanitizer=sanitizer,
-                                             hang_cycles=hang_cycles)
-                if writer is not None:
-                    writer.append(record)
-                if telemetry is not None:
-                    telemetry.fault_finished(
-                        record, wall_s=time.perf_counter() - started,
-                        generator=(spec.fault_model.name
-                                   if spec.fault_model else None))
-                records.append(record)
-            if adaptive is not None and adaptive.satisfied(
-                n_valid(), population_bits
-            ):
-                stopped_early = boundary < len(masks)
-                break
-        if stopped_early and telemetry is not None:
-            telemetry.adaptive_stop(
-                done=len(records), budget=len(masks),
-                margin=error_margin_for(
-                    n_valid(), population_bits, adaptive.confidence
-                ),
-            )
-    finally:
-        if writer is not None:
-            writer.close()
-        if telemetry is not None:
-            telemetry.campaign_finished()
-
-    return AccelCampaignResult(
-        spec=spec,
-        records=records,
-        golden=golden,
-        population_bits=population_bits,
-        resumed=resumed,
-        stopped_early=stopped_early,
-    )
+    ``sanitizer``/``hang_cycles`` are invariant audits at the policy stride
+    (default sampled) and a deterministic dataflow-progress hang detector
+    (0 disables)."""
+    return run_campaign(spec, masks, journal=journal, resume=resume,
+                        sanitizer=sanitizer, hang_cycles=hang_cycles,
+                        telemetry=telemetry, adaptive=adaptive)

@@ -298,6 +298,21 @@ FIG16_ALGORITHMS = [
 FIG16_CPU_TARGETS = ["regfile_int", "l1d"]
 
 
+def _platform_row(algorithm: str, platform: str, results: list, cycles: int,
+                  clock_hz: float, ops: float) -> dict:
+    """One Figure-16 row: AVF and OPF over every record of ``results``."""
+    records = [r for res in results for r in res.records]
+    avf = 1 - sum(
+        1 for r in records if r.outcome.value == "masked"
+    ) / len(records)
+    sdc = sum(1 for r in records if r.outcome.value == "sdc") / len(records)
+    return {
+        "algorithm": algorithm, "platform": platform, "avf": avf,
+        "sdc_avf": sdc, "crash_avf": avf - sdc, "cycles": cycles,
+        "opf": opf(avf, cycles, clock_hz, ops),
+    }
+
+
 def fig16_opf(
     faults: int | None = None, cfg: CPUConfig | None = None, seed: int = 11,
     clock_hz: float = 2e9, scale: str = "default",
@@ -313,53 +328,28 @@ def fig16_opf(
         ops = design.operations_per_run(scale)
 
         # CPU side: aggregate AVF over the sampled structures
-        outcomes = []
-        for target in FIG16_CPU_TARGETS:
-            spec = CampaignSpec(
+        cpu = [
+            run_campaign(CampaignSpec(
                 isa="rv", workload=cpu_workload, target=target, cfg=cfg,
                 scale=scale, faults=max(1, faults // len(FIG16_CPU_TARGETS)),
                 seed=seed,
-            )
-            outcomes.append(run_campaign(spec))
-        cpu_records = [r for res in outcomes for r in res.records]
-        cpu_avf = 1 - sum(
-            1 for r in cpu_records if r.outcome.value == "masked"
-        ) / len(cpu_records)
-        cpu_sdc = sum(1 for r in cpu_records if r.outcome.value == "sdc") / len(cpu_records)
-        cpu_cycles = outcomes[0].golden.cycles
-        rows.append(
-            {
-                "algorithm": design_name, "platform": "cpu", "avf": cpu_avf,
-                "sdc_avf": cpu_sdc, "crash_avf": cpu_avf - cpu_sdc,
-                "cycles": cpu_cycles,
-                "opf": opf(cpu_avf, cpu_cycles, clock_hz, ops),
-            }
-        )
+            ))
+            for target in FIG16_CPU_TARGETS
+        ]
+        rows.append(_platform_row(design_name, "cpu", cpu,
+                                  cpu[0].golden.cycles, clock_hz, ops))
 
         # DSA side: aggregate over the design's Table IV components
-        dsa_records = []
-        dsa_cycles = None
-        for component in PAPER_TARGETS[design_name]:
-            spec = AccelCampaignSpec(
+        components = PAPER_TARGETS[design_name]
+        dsa = [
+            run_accel_campaign(AccelCampaignSpec(
                 design=design_name, component=component, scale=scale,
-                faults=max(1, faults // len(PAPER_TARGETS[design_name])),
-                seed=seed,
-            )
-            res = run_accel_campaign(spec)
-            dsa_records.extend(res.records)
-            dsa_cycles = res.golden.total_cycles
-        dsa_avf = 1 - sum(
-            1 for r in dsa_records if r.outcome.value == "masked"
-        ) / len(dsa_records)
-        dsa_sdc = sum(1 for r in dsa_records if r.outcome.value == "sdc") / len(dsa_records)
-        rows.append(
-            {
-                "algorithm": design_name, "platform": "dsa", "avf": dsa_avf,
-                "sdc_avf": dsa_sdc, "crash_avf": dsa_avf - dsa_sdc,
-                "cycles": dsa_cycles,
-                "opf": opf(dsa_avf, dsa_cycles, clock_hz, ops),
-            }
-        )
+                faults=max(1, faults // len(components)), seed=seed,
+            ))
+            for component in components
+        ]
+        rows.append(_platform_row(design_name, "dsa", dsa,
+                                  dsa[-1].golden.total_cycles, clock_hz, ops))
     text = render_table(
         ["algorithm", "platform", "AVF", "SDC", "Crash", "cycles", "OPF"],
         [

@@ -397,24 +397,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model(name: str):
-    from repro.core.faults import FaultModel
+def _usage_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
-    return {"transient": FaultModel.TRANSIENT, "stuck0": FaultModel.STUCK_AT_0,
-            "stuck1": FaultModel.STUCK_AT_1}[name]
+
+def _print_result(result, resume, metrics_out) -> dict:
+    """Print one campaign's summary table and notes; return the summary."""
+    from repro.core.report import render_robustness, render_table
+
+    summary = result.summary()
+    print(render_table(["metric", "value"], sorted(summary.items())))
+    if result.stopped_early:
+        print(f"adaptive stop: {len(result.records)}/{result.spec.faults} "
+              f"faults, achieved margin {result.error_margin:.4f}")
+    if result.resumed:
+        print(f"resumed {result.resumed}/{len(result.records)} masks "
+              f"from {resume}")
+    health = render_robustness(result.records)
+    if health:
+        print(f"WARNING: {health}", file=sys.stderr)
+    if metrics_out:
+        print(f"wrote {metrics_out}")
+    return summary
+
+
+def _print_tables(summaries, args) -> None:
+    """The protection and liveness tables over every summary printed."""
+    from repro.core.report import render_liveness, render_protection
+
+    if _protection_from_args(args) is not None:
+        print(render_protection(summaries))
+    if _liveness_from_args(args) is not None:
+        print(render_liveness(summaries))
 
 
 def cmd_campaign(args) -> int:
     from repro.core.campaign import CampaignSpec, run_campaign
     from repro.core.checkpoint import CheckpointPolicy
+    from repro.core.faults import FaultModel
     from repro.core.presets import get_preset
-    from repro.core.report import (
-        render_liveness,
-        render_protection,
-        render_robustness,
-        render_table,
-        save_report,
-    )
+    from repro.core.report import save_report
 
     targets = [t.strip() for t in args.target.split(",") if t.strip()]
     if not targets:
@@ -424,8 +447,7 @@ def cmd_campaign(args) -> int:
         protection = _protection_from_args(args)
         fault_model = _fault_model_from_args(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     multi = len(targets) > 1
     checkpoints = CheckpointPolicy(
         stride=args.checkpoint_stride,
@@ -449,7 +471,7 @@ def cmd_campaign(args) -> int:
         spec = CampaignSpec(
             isa=args.isa, workload=args.workload, target=target,
             cfg=cfg, scale=args.scale, faults=args.faults,
-            seed=args.seed, model=_model(args.model),
+            seed=args.seed, model=FaultModel(args.model),
             flips_per_mask=args.flips_per_mask,
             protection=protection,
             liveness=_liveness_from_args(args),
@@ -468,28 +490,11 @@ def cmd_campaign(args) -> int:
                 telemetry=telemetry, adaptive=_adaptive_from_args(args),
             )
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        summary = result.summary()
+            return _usage_error(exc)
         if multi:
             print(f"== target {target} ==")
-        print(render_table(["metric", "value"], sorted(summary.items())))
-        if result.stopped_early:
-            print(f"adaptive stop: {len(result.records)}/{spec.faults} "
-                  f"faults, achieved margin {result.error_margin:.4f}")
-        if result.resumed:
-            print(f"resumed {result.resumed}/{len(result.records)} masks "
-                  f"from {resume}")
-        health = render_robustness(result.records)
-        if health:
-            print(f"WARNING: {health}", file=sys.stderr)
-        if metrics_out:
-            print(f"wrote {metrics_out}")
-        summaries.append(summary)
-    if protection is not None:
-        print(render_protection(summaries))
-    if _liveness_from_args(args) is not None:
-        print(render_liveness(summaries))
+        summaries.append(_print_result(result, resume, metrics_out))
+    _print_tables(summaries, args)
     if args.csv:
         save_report(args.csv, summaries)
         print(f"wrote {args.csv}")
@@ -499,22 +504,16 @@ def cmd_campaign(args) -> int:
 def cmd_accel(args) -> int:
     from repro.accel.campaign import AccelCampaignSpec, run_accel_campaign
     from repro.accel.dataflow import FUConfig
-    from repro.core.report import (
-        render_liveness,
-        render_protection,
-        render_robustness,
-        render_table,
-    )
+    from repro.core.faults import FaultModel
 
     try:
         protection = _protection_from_args(args)
         fault_model = _fault_model_from_args(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     spec = AccelCampaignSpec(
         design=args.design, component=args.component, scale=args.scale,
-        faults=args.faults, seed=args.seed, model=_model(args.model),
+        faults=args.faults, seed=args.seed, model=FaultModel(args.model),
         fu=FUConfig.uniform(args.fu) if args.fu else None,
         protection=protection,
         liveness=_liveness_from_args(args),
@@ -528,25 +527,9 @@ def cmd_accel(args) -> int:
             sanitizer=sanitizer, hang_cycles=hang_cycles,
             telemetry=telemetry, adaptive=_adaptive_from_args(args))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    summary = result.summary()
-    print(render_table(["metric", "value"], sorted(summary.items())))
-    if protection is not None:
-        print(render_protection([summary]))
-    if spec.liveness is not None:
-        print(render_liveness([summary]))
-    if result.stopped_early:
-        print(f"adaptive stop: {len(result.records)}/{spec.faults} faults, "
-              f"achieved margin {result.error_margin:.4f}")
-    if result.resumed:
-        print(f"resumed {result.resumed}/{len(result.records)} masks "
-              f"from {args.resume}")
-    health = render_robustness(result.records)
-    if health:
-        print(f"WARNING: {health}", file=sys.stderr)
-    if args.metrics_out:
-        print(f"wrote {args.metrics_out}")
+        return _usage_error(exc)
+    _print_tables([_print_result(result, args.resume, args.metrics_out)],
+                  args)
     return 0
 
 
@@ -557,8 +540,7 @@ def cmd_matrix(args) -> int:
     try:
         grid = load_grid(args.grid)
     except (MatrixError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     sanitizer, hang_cycles = _sanitizer_from_args(args)
     telemetry = _telemetry_from_args(args)
     try:
@@ -567,8 +549,7 @@ def cmd_matrix(args) -> int:
             sanitizer=sanitizer, hang_cycles=hang_cycles, telemetry=telemetry,
         )
     except MatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     print(result.render())
     print(f"manifest: {result.manifest_path}")
     if result.stopped_early:
@@ -616,8 +597,7 @@ def cmd_serve(args) -> int:
     try:
         load_grid(args.grid)
     except (MatrixError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
 
     on_progress = None
     if args.progress:
@@ -700,8 +680,7 @@ def cmd_merge(args) -> int:
         result = merge_shards(args.out)
         counters = fold_shard_counters(args.out)
     except ShardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     if args.json:
         print(json.dumps({
             "complete": result.complete,

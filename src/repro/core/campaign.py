@@ -17,6 +17,7 @@ import traceback
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Protocol
 
 from repro.core.checkpoint import (
     DEFAULT_POLICY as DEFAULT_CHECKPOINT_POLICY,
@@ -26,6 +27,7 @@ from repro.core.checkpoint import (
     matches as checkpoint_matches,
 )
 from repro.core.faultmodels import FaultModelSpec, cpu_sample, validate_for
+from repro.core import metrics
 from repro.core.faults import FaultMask, FaultModel
 from repro.core.injector import InjectionController
 from repro.core.journal import CampaignJournal
@@ -36,7 +38,7 @@ from repro.core.liveness import (
 )
 from repro.core.outcome import Classification, HVFClass, Outcome, classify
 from repro.core.protection import ProtectionConfig
-from repro.core.sampling import AdaptiveSampling, error_margin_for
+from repro.core.sampling import AdaptiveSampling, error_margin_for, stop_decision
 from repro.core.sanitizer import (
     DEFAULT_HANG_CYCLES,
     DEFAULT_SANITIZER,
@@ -53,6 +55,7 @@ from repro.cpu.core import CrashError, OoOCore, RunResult
 from repro.isa.base import get_isa
 from repro.kernel.compiler import Executable, compile_program
 from repro.workloads import build_workload
+from repro.workloads.suite import workload_builder
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,12 @@ class CampaignSpec:
                 object.__setattr__(
                     self, "cfg", self.cfg.with_(**{fname: default})
                 )
+
+    def substrate(self, checkpoints: CheckpointPolicy | None = None,
+                  sanitizer: SanitizerPolicy | None = None,
+                  hang_cycles: int = DEFAULT_HANG_CYCLES) -> "CpuSubstrate":
+        """The :class:`Substrate` that runs this spec's faults."""
+        return CpuSubstrate(self, checkpoints, sanitizer, hang_cycles)
 
 
 @dataclass
@@ -208,17 +217,21 @@ class SimulatorFault(Exception):
 
 @dataclass
 class CampaignResult:
-    """Aggregated campaign results.
+    """Aggregated results of one campaign, on either substrate.
 
-    AVF/HVF aggregates are computed over *valid* records only: quarantined
-    runs (``Outcome.SIM_FAULT``) are simulator failures, not verdicts about
-    the hardware, so they are reported separately instead of polluting the
-    vulnerability factors.
+    ``spec`` is a :class:`CampaignSpec` or an
+    :class:`~repro.accel.campaign.AccelCampaignSpec`; ``golden`` the
+    matching :class:`GoldenRun` or :class:`~repro.accel.campaign.AccelGolden`.
+    The rates are the :mod:`repro.core.metrics` functions over the records:
+    quarantined runs (``Outcome.SIM_FAULT``) are simulator failures, not
+    verdicts about the hardware, so they count apart instead of polluting
+    the vulnerability factors.  A campaign with no record at all (a zero
+    budget) reports every rate as ``None``.
     """
 
-    spec: CampaignSpec
+    spec: object
     records: list[FaultRecord]
-    golden: GoldenRun
+    golden: object
     population_bits: int
     #: masks satisfied from a resume journal instead of fresh simulation
     resumed: int = 0
@@ -230,12 +243,12 @@ class CampaignResult:
     def valid_records(self) -> list[FaultRecord]:
         return [r for r in self.records if r.outcome is not Outcome.SIM_FAULT]
 
-    def count(self, outcome: Outcome) -> int:
-        return sum(1 for r in self.records if r.outcome is outcome)
+    def _rate(self, metric) -> float | None:
+        return metric(self.records) if self.records else None
 
     @property
     def quarantined(self) -> int:
-        return self.count(Outcome.SIM_FAULT)
+        return metrics.quarantined(self.records)
 
     @property
     def retried(self) -> int:
@@ -247,11 +260,11 @@ class CampaignResult:
 
     @property
     def hangs(self) -> int:
-        return sum(1 for r in self.records if r.crash_reason == "hang")
+        return metrics.hangs(self.records)
 
     @property
     def integrity_quarantined(self) -> int:
-        return sum(1 for r in self.records if r.sim_error_kind == "integrity")
+        return metrics.integrity_quarantined(self.records)
 
     @property
     def liveness_skips(self) -> int:
@@ -266,57 +279,40 @@ class CampaignResult:
     @property
     def avf(self) -> float | None:
         """``None`` for a degenerate campaign (no valid record to judge)."""
-        valid = self.valid_records
-        if not valid:
-            return None
-        return 1 - sum(1 for r in valid if r.outcome is Outcome.MASKED) / len(valid)
+        return self._rate(metrics.avf)
 
     @property
     def sdc_avf(self) -> float | None:
-        valid = self.valid_records
-        return self.count(Outcome.SDC) / len(valid) if valid else None
+        return self._rate(metrics.sdc_avf)
 
     @property
     def crash_avf(self) -> float | None:
-        valid = self.valid_records
-        return self.count(Outcome.CRASH) / len(valid) if valid else None
+        return self._rate(metrics.crash_avf)
 
     @property
     def due_avf(self) -> float | None:
         """Detected-uncorrectable share of the AVF (machine checks)."""
-        valid = self.valid_records
-        return self.count(Outcome.DUE) / len(valid) if valid else None
+        return self._rate(metrics.due_avf)
 
     @property
     def corrected(self) -> int:
         """Runs whose every flip the protection scheme repaired in place."""
-        return sum(1 for r in self.records if r.masked_reason == "corrected")
+        return metrics.corrected(self.records)
 
     @property
     def coverage(self) -> float | None:
-        """Share of protection-relevant faults the scheme caught.
-
-        ``(corrected + DUE) / (corrected + DUE + SDC + CRASH)`` — of the
-        faults that either mattered or were intercepted, how many did the
-        scheme correct or at least flag?  ``None`` when nothing in the
-        sample exercised the question (all masked for other reasons).
-        """
-        caught = self.corrected + self.count(Outcome.DUE)
-        exercised = caught + self.count(Outcome.SDC) + self.count(Outcome.CRASH)
-        return caught / exercised if exercised else None
+        """Share of protection-relevant faults the scheme caught
+        (:func:`repro.core.metrics.coverage`)."""
+        return self._rate(metrics.coverage)
 
     @property
     def residual_sdc_avf(self) -> float | None:
         """SDC remaining *despite* protection (multi-bit escapes)."""
-        return self.sdc_avf
+        return self._rate(metrics.residual_sdc_avf)
 
     @property
     def hvf(self) -> float | None:
-        valid = self.valid_records
-        if not valid:
-            return None
-        corrupt = sum(1 for r in valid if r.hvf is HVFClass.CORRUPTION)
-        return corrupt / len(valid)
+        return self._rate(metrics.hvf)
 
     @property
     def attack_success(self) -> float | None:
@@ -329,30 +325,29 @@ class CampaignResult:
         over the directed (non-uniform) sample, which is the point of
         the comparison.
         """
-        valid = self.valid_records
-        return self.count(Outcome.SDC) / len(valid) if valid else None
+        return self.sdc_avf
 
     @property
     def error_margin(self) -> float | None:
         """Achieved margin of the valid sample (``None`` when it is empty)."""
-        n = len(self.valid_records)
-        if n == 0:
+        if not self.records:
             return None
-        return error_margin_for(n, self.population_bits)
+        return metrics.error_margin(self.records, self.population_bits)
 
     def summary(self) -> dict:
+        substrate = self.spec.substrate()
         out = {
-            "isa": self.spec.isa,
-            "workload": self.spec.workload,
-            "target": self.spec.target,
-            "model": self.spec.model.value,
+            **substrate.identity(),
             "faults": len(self.records),
             "budget": self.spec.faults,
             "n_valid": len(self.valid_records),
             "avf": self.avf,
             "sdc_avf": self.sdc_avf,
             "crash_avf": self.crash_avf,
-            "hvf": self.hvf,
+        }
+        if substrate.reports_hvf:
+            out["hvf"] = self.hvf
+        out.update({
             "error_margin": self.error_margin,
             "stopped_early": self.stopped_early,
             "golden_cycles": self.golden.cycles,
@@ -360,12 +355,12 @@ class CampaignResult:
             "retried": self.retried,
             "timeouts": self.timeouts,
             "resumed": self.resumed,
-        }
+        })
         if self.spec.protection is not None and self.spec.protection.enabled:
             # protection-only keys: an unprotected summary renders exactly
             # as it always has
-            out["protection"] = self.spec.protection.scheme_name_for(
-                self.spec.target) or "none"
+            scheme = self.spec.protection.scheme_for(substrate.structure)
+            out["protection"] = scheme.name if scheme is not None else "none"
             out["due_avf"] = self.due_avf
             out["corrected"] = self.corrected
             out["coverage"] = self.coverage
@@ -544,181 +539,367 @@ def clear_caches() -> None:
 
 
 # --------------------------------------------------------------------------
-# single fault run
+# the substrate protocol
 # --------------------------------------------------------------------------
 
 
-def _simulate_one(
-    spec: CampaignSpec,
-    mask: FaultMask,
-    golden: GoldenRun,
-    policy: CheckpointPolicy | None = None,
-    sanitizer: SanitizerPolicy | None = None,
-    hang_cycles: int = DEFAULT_HANG_CYCLES,
-) -> FaultRecord:
-    """One injected simulation, unguarded: simulator bugs raise
-    :class:`SimulatorFault` for :func:`run_one_fault` to quarantine, and
-    sanitizer hits raise :class:`IntegrityViolation` for it to escalate.
+class Substrate(Protocol):
+    """One kind of hardware a campaign injects into.
 
-    The deterministic hang detector is *always* armed (``hang_cycles=0``
-    disables it): it reads only simulated state, so a hang classifies as
-    ``Crash(hang)`` at the identical cycle regardless of sanitize mode,
-    host speed, or worker parallelism — records stay byte-identical
-    between ``--sanitize=off`` and ``--sanitize=sampled``.
-
-    With an enabled ``policy`` and a checkpointed golden run, the core is
-    restored from the nearest golden checkpoint at-or-before the earliest
-    flip cycle instead of simulating the warm-up (the simulator is
-    deterministic and the injector is a no-op before the flip cycle, so the
-    restored run is bit-identical to a from-scratch one).  With
-    ``policy.early_exit``, the run additionally compares its state digest
-    against the golden checkpoint stream once every flip has reached a
-    terminal lifecycle state: a digest match proves every remaining cycle
-    is identical to the golden run, so the record is emitted immediately
-    with the exact fields a full-length run would have produced.
+    The campaign kernel — the guarded per-fault path
+    (:func:`guarded_fault`), the run loop (:func:`run_campaign`), the result
+    type, the pool worker — is written once against this protocol.
+    :class:`CpuSubstrate` covers the OoO core's structures and
+    :class:`~repro.accel.campaign.AccelSubstrate` the DSA scratchpads and
+    register banks.  An implementation only supplies what differs between
+    the two; records, journals, summaries and telemetry come out
+    byte-identical to what the two separate drivers used to produce.
     """
-    isa = get_isa(spec.isa)
-    controller = InjectionController(mask, stop_early=spec.stop_early,
-                                     protection=spec.protection)
-    core = OoOCore.from_executable(golden.exe, isa, cfg=spec.cfg, injector=controller)
-    core.trace_mode = "compare"
-    core.golden_trace = golden.result.commit_trace
-    core.stop_on_hvf = spec.stop_on_hvf
 
-    store = (
-        golden.checkpoints
-        if policy is not None and policy.enabled else None
-    )
-    restored_from = 0
-    if store is not None:
-        first_cycle = min(f.cycle for f in mask.flips)
-        ckpt = store.best_for(first_cycle)
-        if ckpt is not None and ckpt.cycle > 0:
-            ckpt.restore_into(core)
-            restored_from = ckpt.cycle
-            # replay marker notifications the restored prefix already passed
-            if core.checkpoint_cycle is not None:
-                controller.on_checkpoint(core)
-            if core.switch_cycle is not None:
-                controller.on_switch_cpu(core)
+    spec: object
+    #: the injected structure's name, as protection configs address it
+    structure: str
+    #: policies the pool initializer re-arms in worker processes
+    checkpoints: CheckpointPolicy | None
+    sanitizer: SanitizerPolicy
+    hang_cycles: int
+    #: the summary carries an ``hvf`` key
+    reports_hvf: bool
+    #: the retry after a simulator exception takes the fast path again
+    retry_fast: bool
 
-    probes = []
-    if (
-        store is not None
-        and policy.early_exit
-        and mask.model is FaultModel.TRANSIENT
-    ):
-        probes = store.probes_after(core.cycle)
-    probe_idx = 0
-    reconverged = False
+    def identity(self) -> dict:
+        """Summary leading keys and telemetry labels, in order."""
 
-    auditor = (
-        CoreAuditor(sanitizer, controller, mask)
-        if sanitizer is not None and sanitizer.enabled else None
-    )
-    max_cycles = golden.cycles * spec.cfg.watchdog_factor + 10_000
-    crashed: str | None = None
-    crash_pc = 0
+    def check(self) -> None:
+        """Raise ``ValueError`` for unknown names or a bad fault model."""
+
+    def golden(self):
+        """The (cached) fault-free reference run."""
+
+    def masks(self, golden) -> list[FaultMask]:
+        """The spec's fault sample."""
+
+    def population_bits(self, golden) -> int:
+        """Injectable bits the sample is drawn from."""
+
+    def watchdog(self, golden) -> int:
+        """Simulated-cycle budget of one fault run."""
+
+    def skipped_cycles(self, mask: FaultMask, golden) -> int:
+        """Cycles the fast path lets this mask's run skip."""
+
+    def fast_used(self, mask: FaultMask, golden, fast: bool) -> bool:
+        """Whether a run with ``fast`` set took the fast path."""
+
+    def simulate(self, mask: FaultMask, golden, fast: bool) -> FaultRecord:
+        """One injected run, unguarded; ``fast`` allows the fast path."""
+
+    def run_fault(self, mask: FaultMask, golden=None) -> FaultRecord:
+        """:func:`guarded_fault` through the public per-fault function."""
+
+
+class UnknownNameError(KeyError, ValueError):
+    """An unknown ISA, workload, target, design or component.
+
+    A ``KeyError`` like the registry lookup it comes from, and a
+    ``ValueError`` so every campaign entry point reports it as a usage
+    error; prints without the quotes ``KeyError`` adds.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
+def require_known(lookup, name: str):
+    """``lookup(name)``, with an unknown name raised as
+    :class:`UnknownNameError`.  Every registry lookup raises ``KeyError("unknown
+    … 'x'; available: …")``, so the message names the alternatives."""
     try:
-        while not core.halted and core.cycle < max_cycles:
-            if auditor is not None:
-                auditor.on_cycle(core)
-            core.step()
-            if controller.early_masked:
-                break
-            if probe_idx < len(probes) and core.cycle == probes[probe_idx].cycle:
-                ckpt = probes[probe_idx]
-                probe_idx += 1
-                if controller.settled and checkpoint_matches(ckpt, core):
-                    reconverged = True
+        return lookup(name)
+    except KeyError as exc:
+        raise UnknownNameError(exc.args[0]) from None
+
+
+def validate_spec(spec) -> None:
+    """The one validation step every campaign and grid cell passes.
+
+    Raises ``ValueError`` for a negative fault budget, an unknown name
+    (ISA, workload, target, design or component), protection on a
+    permanent-fault model, an unknown liveness mode, or a fault model the
+    campaign cannot draw.  ``faults = 0`` is legal: it runs nothing.
+    """
+    if spec.faults < 0:
+        raise ValueError(f"fault budget must be >= 0 (got {spec.faults})")
+    if (spec.protection is not None and spec.protection.enabled
+            and spec.model is not FaultModel.TRANSIENT):
+        raise ValueError(
+            "protection modeling supports transient faults only; run "
+            f"permanent-fault campaigns unprotected (model={spec.model.value})"
+        )
+    if spec.liveness not in (None, "on", "audit"):
+        raise ValueError(
+            f"unknown liveness mode {spec.liveness!r}; "
+            "use None (off), 'on' or 'audit'"
+        )
+    spec.substrate().check()
+
+
+# --------------------------------------------------------------------------
+# the CPU substrate
+# --------------------------------------------------------------------------
+
+
+class CpuSubstrate:
+    """The :class:`Substrate` for one OoO-core structure.
+
+    The fast path restores the nearest golden checkpoint at-or-before the
+    earliest flip cycle; the retry after a simulator exception takes it
+    again.
+    """
+
+    reports_hvf = True
+    retry_fast = True
+
+    def __init__(self, spec: CampaignSpec,
+                 checkpoints: CheckpointPolicy | None = None,
+                 sanitizer: SanitizerPolicy | None = None,
+                 hang_cycles: int = DEFAULT_HANG_CYCLES):
+        self.spec = spec
+        self.structure = spec.target
+        self.checkpoints = (checkpoints if checkpoints is not None
+                            else DEFAULT_CHECKPOINT_POLICY)
+        self.sanitizer = sanitizer if sanitizer is not None else DEFAULT_SANITIZER
+        self.hang_cycles = hang_cycles
+
+    def identity(self) -> dict:
+        spec = self.spec
+        return {"isa": spec.isa, "workload": spec.workload,
+                "target": spec.target, "model": spec.model.value}
+
+    def check(self) -> None:
+        spec = self.spec
+        require_known(get_isa, spec.isa)
+        require_known(workload_builder, spec.workload)
+        target = require_known(get_target, spec.target)
+        validate_for(spec.fault_model, model=spec.model,
+                     flips_per_mask=spec.flips_per_mask,
+                     target_kind=target.kind)
+
+    def golden(self) -> GoldenRun:
+        spec = self.spec
+        return golden_run(spec.isa, spec.workload, spec.cfg, spec.scale,
+                          checkpoints=self.checkpoints,
+                          liveness=spec.liveness is not None)
+
+    def masks(self, golden: GoldenRun) -> list[FaultMask]:
+        return masks_for_spec(self.spec, golden)
+
+    def population_bits(self, golden: GoldenRun) -> int:
+        spec = self.spec
+        probe_core = OoOCore.from_executable(golden.exe, get_isa(spec.isa),
+                                             spec.cfg)
+        entries, bits = target_geometry(spec, probe_core)
+        return entries * bits
+
+    def watchdog(self, golden: GoldenRun) -> int:
+        return golden.cycles * self.spec.cfg.watchdog_factor + 10_000
+
+    def skipped_cycles(self, mask: FaultMask, golden: GoldenRun) -> int:
+        if not self.checkpoints.enabled or golden.checkpoints is None:
+            return 0
+        return golden.checkpoints.restore_cycle_for(
+            min(f.cycle for f in mask.flips)
+        )
+
+    def fast_used(self, mask: FaultMask, golden: GoldenRun,
+                  fast: bool) -> bool:
+        return fast and self.skipped_cycles(mask, golden) > 0
+
+    def run_fault(self, mask: FaultMask,
+                  golden: GoldenRun | None = None) -> FaultRecord:
+        return run_one_fault(self.spec, mask, golden,
+                             checkpoints=self.checkpoints,
+                             sanitizer=self.sanitizer,
+                             hang_cycles=self.hang_cycles)
+
+    def simulate(self, mask: FaultMask, golden: GoldenRun,
+                 fast: bool) -> FaultRecord:
+        """One injected simulation, unguarded.
+
+        The deterministic hang detector is *always* armed (``hang_cycles=0``
+        disables it): it reads only simulated state, so a hang classifies as
+        ``Crash(hang)`` at the identical cycle regardless of sanitize mode,
+        host speed, or worker parallelism — records stay byte-identical
+        between ``--sanitize=off`` and ``--sanitize=sampled``.
+
+        With ``fast`` and a checkpointed golden run, the core is restored
+        from the nearest golden checkpoint at-or-before the earliest flip
+        cycle instead of simulating the warm-up (the simulator is
+        deterministic and the injector is a no-op before the flip cycle, so
+        the restored run is bit-identical to a from-scratch one).  With
+        ``policy.early_exit``, the run additionally compares its state
+        digest against the golden checkpoint stream once every flip has
+        reached a terminal lifecycle state: a digest match proves every
+        remaining cycle is identical to the golden run, so the record is
+        emitted immediately with the exact fields a full-length run would
+        have produced.
+        """
+        spec = self.spec
+        policy = self.checkpoints if fast else NO_CHECKPOINTS
+        isa = get_isa(spec.isa)
+        controller = InjectionController(mask, stop_early=spec.stop_early,
+                                         protection=spec.protection)
+        core = OoOCore.from_executable(golden.exe, isa, cfg=spec.cfg,
+                                       injector=controller)
+        core.trace_mode = "compare"
+        core.golden_trace = golden.result.commit_trace
+        core.stop_on_hvf = spec.stop_on_hvf
+
+        store = golden.checkpoints if policy.enabled else None
+        restored_from = 0
+        if store is not None:
+            first_cycle = min(f.cycle for f in mask.flips)
+            ckpt = store.best_for(first_cycle)
+            if ckpt is not None and ckpt.cycle > 0:
+                ckpt.restore_into(core)
+                restored_from = ckpt.cycle
+                # replay marker notifications the restored prefix passed
+                if core.checkpoint_cycle is not None:
+                    controller.on_checkpoint(core)
+                if core.switch_cycle is not None:
+                    controller.on_switch_cpu(core)
+
+        probes = []
+        if (
+            store is not None
+            and policy.early_exit
+            and mask.model is FaultModel.TRANSIENT
+        ):
+            probes = store.probes_after(core.cycle)
+        probe_idx = 0
+        reconverged = False
+
+        sanitizer = self.sanitizer
+        auditor = (
+            CoreAuditor(sanitizer, controller, mask)
+            if sanitizer is not None and sanitizer.enabled else None
+        )
+        max_cycles = self.watchdog(golden)
+        hang_cycles = self.hang_cycles
+        crashed: str | None = None
+        crash_pc = 0
+        try:
+            while not core.halted and core.cycle < max_cycles:
+                if auditor is not None:
+                    auditor.on_cycle(core)
+                core.step()
+                if controller.early_masked:
                     break
-            if hang_detected(core, hang_cycles):
-                crashed = "hang"
-                break
-        if (crashed is None and not core.halted
-                and not controller.early_masked and not reconverged):
-            crashed = "timeout"
-        if crashed is None:
-            # end-of-run patrol scrub: decode protected words the program
-            # never touched again, so a resident uncorrectable error
-            # raises its machine check (DUE) instead of silently vanishing
-            controller.finish(core)
-        if auditor is not None:
-            auditor.audit(core)   # final audit of the terminal state
-    except CrashError as exc:
-        # an expected outcome: the *simulated program* crashed
-        crashed = exc.reason
-        crash_pc = exc.pc
-    except IntegrityViolation:
-        # impossible state caught mid-run — escalate upstream untouched
-        raise
-    except Exception as exc:
-        # the *simulator* crashed — a fault-corrupted core walked the model
-        # into a state the code never anticipated; quarantine upstream
-        raise SimulatorFault(exc, snapshot={
-            "cycle": core.cycle,
-            "instructions": core.instructions,
-            "halted": core.halted,
-            "mask_id": mask.mask_id,
-            "restored_from": restored_from,
-        }) from exc
+                if (probe_idx < len(probes)
+                        and core.cycle == probes[probe_idx].cycle):
+                    ckpt = probes[probe_idx]
+                    probe_idx += 1
+                    if controller.settled and checkpoint_matches(ckpt, core):
+                        reconverged = True
+                        break
+                if hang_detected(core, hang_cycles):
+                    crashed = "hang"
+                    break
+            if (crashed is None and not core.halted
+                    and not controller.early_masked and not reconverged):
+                crashed = "timeout"
+            if crashed is None:
+                # end-of-run patrol scrub: decode protected words the
+                # program never touched again, so a resident uncorrectable
+                # error raises its machine check (DUE) instead of silently
+                # vanishing
+                controller.finish(core)
+            if auditor is not None:
+                auditor.audit(core)   # final audit of the terminal state
+        except CrashError as exc:
+            # an expected outcome: the *simulated program* crashed
+            crashed = exc.reason
+            crash_pc = exc.pc
+        except IntegrityViolation:
+            # impossible state caught mid-run — escalate upstream untouched
+            raise
+        except Exception as exc:
+            # the *simulator* crashed — a fault-corrupted core walked the
+            # model into a state the code never anticipated; quarantine
+            # upstream
+            raise SimulatorFault(exc, snapshot={
+                "cycle": core.cycle,
+                "instructions": core.instructions,
+                "halted": core.halted,
+                "mask_id": mask.mask_id,
+                "restored_from": restored_from,
+            }) from exc
 
-    # stop_on_hvf halts the core at the first commit mismatch; without this
-    # flag, an incomplete-but-halted run would be indistinguishable from a
-    # genuine program completion (and a hang from an early HVF exit)
-    stopped_on_hvf = bool(spec.stop_on_hvf and core.hvf_corrupt and core.halted)
+        # stop_on_hvf halts the core at the first commit mismatch; without
+        # this flag, an incomplete-but-halted run would be indistinguishable
+        # from a genuine program completion (and a hang from an early HVF
+        # exit)
+        stopped_on_hvf = bool(spec.stop_on_hvf and core.hvf_corrupt
+                              and core.halted)
 
-    if reconverged:
-        # every cycle from here on would replay the golden run exactly, so
-        # report the record as the full-length run would have: golden
-        # completion cycles/output, the (already settled) injector verdict,
-        # and whatever HVF state the divergence window accumulated
-        result = RunResult(
-            output=golden.output,
-            cycles=golden.cycles,
-            instructions=golden.result.instructions,
-            halted=True,
-            crashed=None,
-            crash_pc=0,
-            hvf_corrupt=core.hvf_corrupt,
-            hvf_seq=core.hvf_seq,
+        if reconverged:
+            # every cycle from here on would replay the golden run exactly,
+            # so report the record as the full-length run would have: golden
+            # completion cycles/output, the (already settled) injector
+            # verdict, and whatever HVF state the divergence window
+            # accumulated
+            result = RunResult(
+                output=golden.output,
+                cycles=golden.cycles,
+                instructions=golden.result.instructions,
+                halted=True,
+                crashed=None,
+                crash_pc=0,
+                hvf_corrupt=core.hvf_corrupt,
+                hvf_seq=core.hvf_seq,
+            )
+        else:
+            result = RunResult(
+                output=bytes(core.output),
+                cycles=core.cycle,
+                instructions=core.instructions,
+                halted=core.halted,
+                crashed=crashed,
+                crash_pc=crash_pc,
+                hvf_corrupt=core.hvf_corrupt,
+                hvf_seq=core.hvf_seq,
+            )
+        if spec.stop_on_hvf and core.hvf_corrupt:
+            # HVF-only campaign: the run stopped at the first commit mismatch
+            cls = Classification(Outcome.SDC, HVFClass.CORRUPTION)
+        else:
+            cls = classify(
+                result,
+                golden.output,
+                controller.early_masked,
+                controller.masked_reason(),
+                detected_by=controller.detected_by,
+            )
+        return FaultRecord(
+            mask=mask,
+            outcome=cls.outcome,
+            hvf=cls.hvf,
+            cycles=result.cycles,
+            masked_reason=cls.masked_reason,
+            crash_reason=cls.crash_reason,
+            activated=controller.activated,
+            max_cycles=max_cycles,
+            stopped_on_hvf=stopped_on_hvf,
+            detected_by=cls.detected_by,
+            restored_from=restored_from,
+            early_exited=reconverged,
         )
-    else:
-        result = RunResult(
-            output=bytes(core.output),
-            cycles=core.cycle,
-            instructions=core.instructions,
-            halted=core.halted,
-            crashed=crashed,
-            crash_pc=crash_pc,
-            hvf_corrupt=core.hvf_corrupt,
-            hvf_seq=core.hvf_seq,
-        )
-    if spec.stop_on_hvf and core.hvf_corrupt:
-        # HVF-only campaign: the run stopped at the first commit mismatch
-        cls = Classification(Outcome.SDC, HVFClass.CORRUPTION)
-    else:
-        cls = classify(
-            result,
-            golden.output,
-            controller.early_masked,
-            controller.masked_reason(),
-            detected_by=controller.detected_by,
-        )
-    return FaultRecord(
-        mask=mask,
-        outcome=cls.outcome,
-        hvf=cls.hvf,
-        cycles=result.cycles,
-        masked_reason=cls.masked_reason,
-        crash_reason=cls.crash_reason,
-        activated=controller.activated,
-        max_cycles=max_cycles,
-        stopped_on_hvf=stopped_on_hvf,
-        detected_by=cls.detected_by,
-        restored_from=restored_from,
-        early_exited=reconverged,
-    )
+
+
+# --------------------------------------------------------------------------
+# the guarded per-fault path
+# --------------------------------------------------------------------------
 
 
 def quarantine_record(mask: FaultMask, kind: str, error: str,
@@ -737,43 +918,29 @@ def quarantine_record(mask: FaultMask, kind: str, error: str,
     )
 
 
-def _escalate_integrity(
-    spec: CampaignSpec,
-    mask: FaultMask,
-    golden: GoldenRun,
-    policy: CheckpointPolicy,
-    sanitizer: SanitizerPolicy | None,
-    hang_cycles: int,
-    violation: IntegrityViolation,
-) -> FaultRecord:
+def _escalate_integrity(sub: Substrate, mask: FaultMask, golden, fast: bool,
+                        violation: IntegrityViolation) -> FaultRecord:
     """Differential escalation for a suspected integrity violation.
 
-    If the failing run fast-forwarded from a golden checkpoint, the mask is
-    re-simulated once *from scratch* (checkpoints disabled): a run that
-    fails again — or any clean verdict that would require trusting state
-    the sanitizer already caught corrupt — labels the violation
-    ``deterministic``, while a clean from-scratch run labels it
+    If the failing run took the fast path (a golden-checkpoint restore, or
+    a reused accelerator replay context), the mask is re-simulated once
+    without it: a run that fails again — or any clean verdict that would
+    require trusting state the sanitizer already caught corrupt — labels
+    the violation ``deterministic``, while a clean slow-path run labels it
     ``checkpoint-divergence`` (the snapshot/restore path is the suspect).
     Either way the mask is quarantined; an observed impossible state is
     never laundered into an AVF verdict.
     """
-    restored = 0
-    if policy.enabled and golden.checkpoints is not None:
-        restored = golden.checkpoints.restore_cycle_for(
-            min(f.cycle for f in mask.flips)
-        )
     retries = 0
-    if restored > 0:
+    divergence = "deterministic"
+    if sub.fast_used(mask, golden, fast):
         retries = 1
         try:
-            _simulate_one(spec, mask, golden, NO_CHECKPOINTS,
-                          sanitizer=sanitizer, hang_cycles=hang_cycles)
+            sub.simulate(mask, golden, fast=False)
         except (IntegrityViolation, SimulatorFault):
-            divergence = "deterministic"
+            pass
         else:
             divergence = "checkpoint-divergence"
-    else:
-        divergence = "deterministic"
     report = replace(violation.report, divergence=divergence)
     return quarantine_record(mask, "integrity", report.describe(),
                              retries=retries, integrity=report)
@@ -796,8 +963,7 @@ def liveness_masked_record(mask: FaultMask) -> FaultRecord:
     )
 
 
-def _liveness_claim(spec: CampaignSpec, mask: FaultMask,
-                    golden: GoldenRun) -> FaultRecord | None:
+def _liveness_claim(spec, mask: FaultMask, golden) -> FaultRecord | None:
     """The analytic record for ``mask``, or None when simulation is needed."""
     if spec.liveness is None or golden.liveness is None:
         return None
@@ -812,29 +978,20 @@ def _liveness_claim(spec: CampaignSpec, mask: FaultMask,
     return None
 
 
-def _simulate_with_retry(
-    spec: CampaignSpec,
-    mask: FaultMask,
-    golden: GoldenRun,
-    policy: CheckpointPolicy,
-    san: SanitizerPolicy,
-    hang_cycles: int,
-) -> FaultRecord:
+def _simulate_with_retry(sub: Substrate, mask: FaultMask,
+                         golden) -> FaultRecord:
     """The supervised simulate path: quarantine boundary + one retry."""
     try:
-        return _simulate_one(spec, mask, golden, policy,
-                             sanitizer=san, hang_cycles=hang_cycles)
+        return sub.simulate(mask, golden, fast=True)
     except IntegrityViolation as viol:
-        return _escalate_integrity(spec, mask, golden, policy, san,
-                                   hang_cycles, viol)
+        return _escalate_integrity(sub, mask, golden, True, viol)
     except SimulatorFault as first:
         first_text = first.describe()
+    fast = sub.retry_fast
     try:
-        record = _simulate_one(spec, mask, golden, policy,
-                               sanitizer=san, hang_cycles=hang_cycles)
+        record = sub.simulate(mask, golden, fast=fast)
     except IntegrityViolation as viol:
-        return _escalate_integrity(spec, mask, golden, policy, san,
-                                   hang_cycles, viol)
+        return _escalate_integrity(sub, mask, golden, fast, viol)
     except SimulatorFault as second:
         return quarantine_record(
             mask, "deterministic", second.describe(), retries=1
@@ -844,15 +1001,7 @@ def _simulate_with_retry(
                    sim_error_kind="flaky", error=first_text)
 
 
-def run_one_fault(
-    spec: CampaignSpec,
-    mask: FaultMask,
-    golden: GoldenRun | None = None,
-    *,
-    checkpoints: CheckpointPolicy | None = None,
-    sanitizer: SanitizerPolicy | None = None,
-    hang_cycles: int = DEFAULT_HANG_CYCLES,
-) -> FaultRecord:
+def guarded_fault(sub: Substrate, mask: FaultMask, golden) -> FaultRecord:
     """Run one injected fault to a classified :class:`FaultRecord`.
 
     With ``spec.liveness`` set, the golden run's dead-window map is
@@ -864,30 +1013,18 @@ def run_one_fault(
     its quarantine record, and a contradicting verdict quarantines the
     mask with ``sim_error_kind="liveness"``.
 
-    Crash-quarantine boundary: a simulated-program crash (`CrashError`) is a
-    normal campaign outcome, but *any other* exception escaping the
-    fault-corrupted core is a simulator failure.  Those are retried once
+    Crash-quarantine boundary: a simulated-program crash is a normal
+    campaign outcome, but *any other* exception escaping the
+    fault-corrupted model is a simulator failure.  Those are retried once
     with the same mask — a second failure means a deterministic simulator
     bug, a success means flaky state — and never abort the campaign.
     Sanitizer hits (:class:`IntegrityViolation`) take the differential
     escalation path instead and quarantine as ``sim_error_kind="integrity"``.
-
-    ``checkpoints`` selects the fast-forward/early-exit strategy (default:
-    :data:`repro.core.checkpoint.DEFAULT_POLICY`); the resulting record is
-    bit-identical either way.  ``sanitizer`` selects the invariant-audit
-    policy (default: :data:`repro.core.sanitizer.DEFAULT_SANITIZER`,
-    sampled mode).
     """
-    policy = checkpoints if checkpoints is not None else DEFAULT_CHECKPOINT_POLICY
-    san = sanitizer if sanitizer is not None else DEFAULT_SANITIZER
-    if golden is None or (spec.liveness is not None and golden.liveness is None):
-        golden = golden_run(spec.isa, spec.workload, spec.cfg, spec.scale,
-                            checkpoints=policy,
-                            liveness=spec.liveness is not None)
-    analytic = _liveness_claim(spec, mask, golden)
-    if analytic is not None and spec.liveness == "on":
+    analytic = _liveness_claim(sub.spec, mask, golden)
+    if analytic is not None and sub.spec.liveness == "on":
         return analytic
-    record = _simulate_with_retry(spec, mask, golden, policy, san, hang_cycles)
+    record = _simulate_with_retry(sub, mask, golden)
     if analytic is None:
         return record
     # audit mode: the pre-analysis claimed this site dead and the site was
@@ -904,47 +1041,131 @@ def run_one_fault(
     )
 
 
-#: checkpoint policy the pool initializer armed for this worker process
-_WORKER_CHECKPOINTS: CheckpointPolicy | None = None
-#: sanitizer policy and hang window the pool initializer armed
-_WORKER_SANITIZER: SanitizerPolicy | None = None
-_WORKER_HANG_CYCLES: int = DEFAULT_HANG_CYCLES
+def run_one_fault(
+    spec: CampaignSpec,
+    mask: FaultMask,
+    golden: GoldenRun | None = None,
+    *,
+    checkpoints: CheckpointPolicy | None = None,
+    sanitizer: SanitizerPolicy | None = None,
+    hang_cycles: int = DEFAULT_HANG_CYCLES,
+) -> FaultRecord:
+    """Run one injected CPU fault through :func:`guarded_fault`.
+
+    ``checkpoints`` selects the fast-forward/early-exit strategy (default:
+    :data:`repro.core.checkpoint.DEFAULT_POLICY`); the resulting record is
+    bit-identical either way.  ``sanitizer`` selects the invariant-audit
+    policy (default: :data:`repro.core.sanitizer.DEFAULT_SANITIZER`,
+    sampled mode).
+    """
+    sub = CpuSubstrate(spec, checkpoints, sanitizer, hang_cycles)
+    if golden is None or (spec.liveness is not None and golden.liveness is None):
+        golden = sub.golden()
+    return guarded_fault(sub, mask, golden)
 
 
-def _worker(args: tuple) -> FaultRecord:
-    spec, mask = args
-    return run_one_fault(spec, mask, checkpoints=_WORKER_CHECKPOINTS,
-                         sanitizer=_WORKER_SANITIZER,
-                         hang_cycles=_WORKER_HANG_CYCLES)
+# --------------------------------------------------------------------------
+# the pool worker (campaigns, matrix cells and shard workers)
+# --------------------------------------------------------------------------
+
+#: policies the pool initializer armed for this worker process
+_WORKER_POLICIES: tuple = (None, None, DEFAULT_HANG_CYCLES)
+#: this process's substrate per spec (accelerator replay contexts live here)
+_WORKER_SUBSTRATES: dict = {}
 
 
-def _worker_init(spec: CampaignSpec,
-                 checkpoints: CheckpointPolicy | None = None,
+def _worker_init(checkpoints: CheckpointPolicy | None = None,
                  sanitizer: SanitizerPolicy | None = None,
-                 hang_cycles: int = DEFAULT_HANG_CYCLES) -> None:
-    """Pool initializer: prime the golden run once per worker process.
+                 hang_cycles: int = DEFAULT_HANG_CYCLES,
+                 prime=None) -> None:
+    """Pool initializer: arm the policies, optionally prime one golden run.
 
-    Without this every subprocess would recompute the golden simulation on
-    its first fault (the parent's cache does not follow pickled specs under
-    the spawn start method).  The miss counter is reset so tests can assert
-    at-most-one golden simulation per worker.  The priming run uses the
-    same checkpoint policy the worker's fault runs will, so the cache entry
+    With ``prime`` (a spec), the golden run is computed once per worker
+    process.  Without it every subprocess would recompute the golden
+    simulation on its first fault (the parent's cache does not follow
+    pickled specs under the spawn start method).  Priming resets the miss
+    counter so tests can assert at-most-one golden simulation per worker,
+    and uses the worker's own checkpoint policy, so the cache entry
     already carries the checkpoint store.
     """
-    global _GOLDEN_MISSES, _WORKER_CHECKPOINTS
-    global _WORKER_SANITIZER, _WORKER_HANG_CYCLES
-    _GOLDEN_MISSES = 0
-    _WORKER_CHECKPOINTS = checkpoints
-    _WORKER_SANITIZER = sanitizer
-    _WORKER_HANG_CYCLES = hang_cycles
-    policy = checkpoints if checkpoints is not None else DEFAULT_CHECKPOINT_POLICY
-    golden_run(spec.isa, spec.workload, spec.cfg, spec.scale, checkpoints=policy,
-               liveness=spec.liveness is not None)
+    global _GOLDEN_MISSES, _WORKER_POLICIES
+    _WORKER_POLICIES = (checkpoints, sanitizer, hang_cycles)
+    _WORKER_SUBSTRATES.clear()
+    if prime is not None:
+        _GOLDEN_MISSES = 0
+        _worker_substrate(prime).golden()
+
+
+def _worker_substrate(spec) -> Substrate:
+    sub = _WORKER_SUBSTRATES.get(spec)
+    if sub is None:
+        sub = _WORKER_SUBSTRATES[spec] = spec.substrate(*_WORKER_POLICIES)
+    return sub
+
+
+def _worker(task: tuple) -> FaultRecord:
+    """Run one ``(spec, mask)`` task: the pool entry of every runner, and
+    the serial matrix and shard paths, which share its per-process
+    caches."""
+    spec, mask = task
+    return _worker_substrate(spec).run_fault(mask)
 
 
 def _probe_golden_misses(_arg=None) -> int:
     """Picklable probe: golden-cache misses inside a worker process."""
     return golden_miss_count()
+
+
+def outcome_to_record(outcome: TaskOutcome) -> FaultRecord:
+    """Map a supervised-executor verdict for a ``(spec, mask)`` task onto
+    a FaultRecord."""
+    _spec, mask = outcome.item
+    if outcome.ok:
+        record: FaultRecord = outcome.value
+        if outcome.attempts > 1:
+            record = replace(record, retries=record.retries + outcome.attempts - 1)
+        return record
+    kind = "harness_timeout" if outcome.kind == "timeout" else "harness_error"
+    return quarantine_record(
+        mask, kind, outcome.error or kind, retries=outcome.attempts - 1
+    )
+
+
+def run_tasks(tasks: list[tuple], workers: int, on_record, *, run=_worker,
+              telemetry=None, policy: SupervisorPolicy | None = None,
+              initargs: tuple = (), item_timeout=None) -> None:
+    """Run ``(spec, mask)`` tasks; hand each finished record to
+    ``on_record(index, record, wall_s)``.
+
+    With ``workers > 1`` the tasks go to a supervised pool of
+    :func:`_worker` processes armed by :func:`_worker_init` with
+    ``initargs``; otherwise ``run(task)`` runs them in order in this
+    process.  ``telemetry`` hears every dispatch and supervisor event.
+    """
+    if workers <= 1:
+        for index, task in enumerate(tasks):
+            if telemetry is not None:
+                telemetry.fault_dispatched(task[1].mask_id)
+            started = time.perf_counter()
+            record = run(task)
+            on_record(index, record, time.perf_counter() - started)
+        return
+
+    def on_event(kind: str, info: dict) -> None:
+        if kind == "dispatch":
+            telemetry.fault_dispatched(tasks[info["index"]][1].mask_id,
+                                       attempt=info.get("attempt", 0))
+        else:
+            telemetry.supervisor_event(kind, info)
+
+    run_supervised(
+        _worker, tasks, workers=workers, policy=policy,
+        initializer=_worker_init, initargs=initargs,
+        on_result=lambda o: on_record(o.index, outcome_to_record(o),
+                                      o.wall_s),
+        on_event=on_event if telemetry is not None else None,
+        item_timeout=item_timeout,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -1002,6 +1223,15 @@ def masks_for_spec(spec: CampaignSpec, golden: GoldenRun) -> list[FaultMask]:
     )
 
 
+def journaled_records(path: str | Path, spec,
+                      masks) -> dict[int, FaultRecord]:
+    """The journal's records for ``masks``, by mask_id: a journaled
+    verdict is trusted only for the identical mask."""
+    journaled = CampaignJournal.completed(path, spec)
+    return {m.mask_id: journaled[m.mask_id] for m in masks
+            if m.mask_id in journaled and journaled[m.mask_id].mask == m}
+
+
 def _check_unique_mask_ids(masks: list[FaultMask]) -> None:
     """Journaling and resume key on mask_id; duplicates would silently
     overwrite each other's records, so reject them up front."""
@@ -1012,39 +1242,19 @@ def _check_unique_mask_ids(masks: list[FaultMask]) -> None:
         seen.add(m.mask_id)
 
 
-def default_fault_timeout(golden_cycles: int, watchdog_factor: int,
-                          restored_from: int = 0) -> float:
-    """Per-fault wall-clock budget, derived from the golden cycle count.
+def fault_timeout(budget_cycles: int) -> float:
+    """Per-fault wall-clock budget for a run of ``budget_cycles``.
 
     The in-simulation watchdog already bounds *simulated* time; this bounds
     *host* time for the case where the simulator itself spins.  Sized very
     generously (assumes a pessimistic 2k simulated cycles per host second)
     so it only ever fires on a genuinely wedged worker.
-
-    ``restored_from`` is the earliest checkpoint cycle the campaign's fault
-    runs resume from: checkpointed runs only replay the delta, so their
-    wall-clock budget shrinks accordingly (never below the 60 s floor).
     """
-    budget_cycles = golden_cycles * watchdog_factor + 10_000 - restored_from
     return max(60.0, budget_cycles / 2_000)
 
 
-def _outcome_to_record(outcome: TaskOutcome) -> FaultRecord:
-    """Map a supervised-executor verdict onto a FaultRecord."""
-    _spec, mask = outcome.item
-    if outcome.ok:
-        record: FaultRecord = outcome.value
-        if outcome.attempts > 1:
-            record = replace(record, retries=record.retries + outcome.attempts - 1)
-        return record
-    kind = "harness_timeout" if outcome.kind == "timeout" else "harness_error"
-    return quarantine_record(
-        mask, kind, outcome.error or kind, retries=outcome.attempts - 1
-    )
-
-
 def run_campaign(
-    spec: CampaignSpec,
+    spec: "CampaignSpec | AccelCampaignSpec",
     masks: list[FaultMask] | None = None,
     workers: int = 1,
     *,
@@ -1060,6 +1270,11 @@ def run_campaign(
 ) -> CampaignResult:
     """Run a full SFI campaign; returns per-fault records + aggregates.
 
+    The campaign kernel: ``spec`` is a CPU :class:`CampaignSpec` or a DSA
+    :class:`~repro.accel.campaign.AccelCampaignSpec`, and its
+    :class:`Substrate` supplies everything that differs between the two
+    (``checkpoints`` is the CPU's fast path and does not apply to a DSA).
+
     * ``journal`` — append every completed :class:`FaultRecord` to this
       JSONL file as it finishes (crash-safe progress log);
     * ``resume`` — skip masks already present in this journal (typically
@@ -1067,7 +1282,8 @@ def run_campaign(
       where it left off;
     * ``timeout_s`` / ``policy`` — supervised-executor knobs for the
       ``workers > 1`` path; the default timeout derives from the golden
-      run's cycle count via :func:`default_fault_timeout`;
+      run's watchdog budget via :func:`fault_timeout`, less the cycles
+      the earliest checkpoint restore skips;
     * ``checkpoints`` — checkpoint fast-forward / early-exit policy
       (default: :data:`repro.core.checkpoint.DEFAULT_POLICY`; pass
       :data:`repro.core.checkpoint.NO_CHECKPOINTS` to simulate every fault
@@ -1093,56 +1309,28 @@ def run_campaign(
       journaled records are a prefix of (and byte-identical to) the
       fixed-budget campaign's.
     """
-    if (spec.protection is not None and spec.protection.enabled
-            and spec.model is not FaultModel.TRANSIENT):
-        raise ValueError(
-            "protection modeling supports transient faults only; run "
-            f"permanent-fault campaigns unprotected (model={spec.model.value})"
-        )
-    if spec.liveness not in (None, "on", "audit"):
-        raise ValueError(
-            f"unknown liveness mode {spec.liveness!r}; "
-            "use None (off), 'on' or 'audit'"
-        )
-    validate_for(
-        spec.fault_model,
-        model=spec.model,
-        flips_per_mask=spec.flips_per_mask,
-        target_kind=get_target(spec.target).kind,
-    )
-    ckpt_policy = checkpoints if checkpoints is not None else DEFAULT_CHECKPOINT_POLICY
-    golden = golden_run(spec.isa, spec.workload, spec.cfg, spec.scale,
-                        checkpoints=ckpt_policy,
-                        liveness=spec.liveness is not None)
+    sub = spec.substrate(checkpoints, sanitizer, hang_cycles)
+    validate_spec(spec)
+    golden = sub.golden()
     if masks is None:
-        masks = masks_for_spec(spec, golden)
+        masks = sub.masks(golden)
     if journal is not None or resume is not None:
         # mask_id is the journal/resume key; duplicates would silently
         # overwrite each other's records
         _check_unique_mask_ids(masks)
-
-    isa = get_isa(spec.isa)
-    probe_core = OoOCore.from_executable(golden.exe, isa, spec.cfg)
-    entries, bits = target_geometry(spec, probe_core)
-    population_bits = entries * bits
+    population_bits = sub.population_bits(golden)
 
     done: dict[int, FaultRecord] = {}
     if resume is not None and Path(resume).exists():
-        journaled = CampaignJournal.completed(resume, spec)
-        # trust a journaled verdict only for the identical mask
-        done = {
-            m.mask_id: journaled[m.mask_id]
-            for m in masks
-            if m.mask_id in journaled and journaled[m.mask_id].mask == m
-        }
+        done = journaled_records(resume, spec, masks)
     pending = [(i, m) for i, m in enumerate(masks) if m.mask_id not in done]
+    # position -> record, resumed ones first
+    by_pos = {i: done[m.mask_id] for i, m in enumerate(masks)
+              if m.mask_id in done}
 
     if telemetry is not None:
-        telemetry.campaign_started(
-            planned=len(masks), resumed=len(done),
-            labels={"isa": spec.isa, "workload": spec.workload,
-                    "target": spec.target, "model": spec.model.value},
-        )
+        telemetry.campaign_started(planned=len(masks), resumed=len(done),
+                                   labels=sub.identity())
 
     writer = CampaignJournal.open(journal, spec) if journal is not None else None
 
@@ -1156,123 +1344,58 @@ def run_campaign(
                                      generator=generator_name)
 
     if workers > 1 and pending and timeout_s is None:
-        restored_from = 0
-        if ckpt_policy.enabled and golden.checkpoints is not None:
-            restored_from = min(
-                (
-                    golden.checkpoints.restore_cycle_for(
-                        min(f.cycle for f in m.flips)
-                    )
-                    for _, m in pending
-                ),
-                default=0,
-            )
-        timeout_s = default_fault_timeout(
-            golden.cycles, spec.cfg.watchdog_factor,
-            restored_from=restored_from,
-        )
+        # checkpointed runs only replay the delta past their restore cycle
+        skipped = min((sub.skipped_cycles(m, golden) for _, m in pending),
+                      default=0)
+        timeout_s = fault_timeout(sub.watchdog(golden) - skipped)
     supervisor_policy = policy or SupervisorPolicy(timeout_s=timeout_s)
-
-    by_pos: dict[int, FaultRecord] = {}
 
     def dispatch(chunk: list[tuple[int, FaultMask]]) -> None:
         """Simulate one batch of (position, mask) pairs into ``by_pos``."""
-        if not chunk:
-            return
-        if workers > 1:
-            on_result = None
-            if writer is not None or telemetry is not None:
-                def on_result(o: TaskOutcome) -> None:
-                    record_done(_outcome_to_record(o), wall_s=o.wall_s)
-            on_event = None
-            if telemetry is not None:
-                chunk_mask_ids = [m.mask_id for _, m in chunk]
+        def finish(index: int, record: FaultRecord, wall_s: float) -> None:
+            record_done(record, wall_s=wall_s)
+            by_pos[chunk[index][0]] = record
 
-                def on_event(kind: str, info: dict) -> None:
-                    if kind == "dispatch":
-                        telemetry.fault_dispatched(
-                            chunk_mask_ids[info["index"]],
-                            attempt=info.get("attempt", 0),
-                        )
-                    else:
-                        telemetry.supervisor_event(kind, info)
-            fresh = run_supervised(
-                _worker,
-                [(spec, m) for _, m in chunk],
-                workers=workers,
-                policy=supervisor_policy,
-                initializer=_worker_init,
-                initargs=(spec, ckpt_policy, sanitizer, hang_cycles),
-                on_result=on_result,
-                on_event=on_event,
-            )
-            for (i, _), o in zip(chunk, fresh):
-                by_pos[i] = _outcome_to_record(o)
-        else:
-            for i, m in chunk:
-                if telemetry is not None:
-                    telemetry.fault_dispatched(m.mask_id)
-                started = time.perf_counter()
-                record = run_one_fault(spec, m, golden, checkpoints=ckpt_policy,
-                                       sanitizer=sanitizer,
-                                       hang_cycles=hang_cycles)
-                record_done(record, wall_s=time.perf_counter() - started)
-                by_pos[i] = record
-
-    def record_at(i: int) -> FaultRecord | None:
-        r = by_pos.get(i)
-        if r is None:
-            r = done.get(masks[i].mask_id)
-        return r
+        if chunk:
+            run_tasks([(spec, m) for _, m in chunk], workers, finish,
+                      run=lambda task: sub.run_fault(task[1], golden),
+                      telemetry=telemetry, policy=supervisor_policy,
+                      initargs=(sub.checkpoints, sub.sanitizer,
+                                sub.hang_cycles, spec))
 
     def valid_in_prefix(boundary: int) -> int:
-        n = 0
-        for i in range(boundary):
-            r = record_at(i)
-            if r is not None and r.outcome is not Outcome.SIM_FAULT:
-                n += 1
-        return n
+        return metrics.n_valid([by_pos[i] for i in range(boundary)])
 
-    processed = len(masks)
-    stopped_early = False
+    dispatched = 0
     try:
-        if adaptive is None:
-            dispatch(pending)
-        else:
-            dispatched = 0
-            for boundary in adaptive.boundaries(len(masks)):
-                dispatch([(i, m) for i, m in pending
-                          if dispatched <= i < boundary])
-                dispatched = boundary
-                if adaptive.satisfied(valid_in_prefix(boundary),
-                                      population_bits):
-                    processed = boundary
-                    stopped_early = boundary < len(masks)
-                    break
-            else:
-                processed = dispatched
-            if stopped_early and telemetry is not None:
-                telemetry.adaptive_stop(
-                    done=processed, budget=len(masks),
-                    margin=error_margin_for(
-                        valid_in_prefix(processed), population_bits,
-                        adaptive.confidence,
-                    ),
-                )
+        while True:
+            status, processed = stop_decision(adaptive, len(masks), dispatched,
+                                              valid_in_prefix, population_bits)
+            if status != "running":
+                break
+            dispatch([(i, m) for i, m in pending
+                      if dispatched <= i < processed])
+            dispatched = processed
+        stopped_early = status == "converged" and processed < len(masks)
+        if stopped_early and telemetry is not None:
+            telemetry.adaptive_stop(
+                done=processed, budget=len(masks),
+                margin=error_margin_for(
+                    valid_in_prefix(processed), population_bits,
+                    adaptive.confidence,
+                ),
+            )
     finally:
         if writer is not None:
             writer.close()
         if telemetry is not None:
             telemetry.campaign_finished()
 
-    records = [record_at(i) for i in range(processed)]
-    assert all(r is not None for r in records), "campaign lost a record"
     return CampaignResult(
         spec=spec,
-        records=records,
+        records=[by_pos[i] for i in range(processed)],
         golden=golden,
         population_bits=population_bits,
-        resumed=sum(1 for i in range(processed)
-                    if i not in by_pos and masks[i].mask_id in done),
+        resumed=sum(1 for m in masks[:processed] if m.mask_id in done),
         stopped_early=stopped_early,
     )

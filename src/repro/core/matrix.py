@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,12 +45,12 @@ from repro.core.campaign import (
     CampaignResult,
     CampaignSpec,
     FaultRecord,
-    default_fault_timeout,
-    golden_run,
-    masks_for_spec,
-    quarantine_record,
-    run_one_fault,
-    target_geometry,
+    _worker_init,
+    fault_timeout,
+    journaled_records,
+    run_one_fault,  # noqa: F401  (re-exported: callers wrap it here)
+    run_tasks,
+    validate_spec,
 )
 from repro.core.protection import ProtectionConfig, normalized
 from repro.core.checkpoint import DEFAULT_POLICY as DEFAULT_CHECKPOINT_POLICY
@@ -65,20 +64,14 @@ from repro.core.journal import (
 )
 from repro.core.outcome import Outcome
 from repro.core.report import render_matrix
-from repro.core.sampling import AdaptiveSampling, error_margin_for
+from repro.core.sampling import AdaptiveSampling, error_margin_for, stop_decision
 from repro.core.sanitizer import DEFAULT_HANG_CYCLES, SanitizerPolicy
-from repro.core.supervisor import SupervisorPolicy, TaskOutcome, run_supervised
+from repro.core.supervisor import SupervisorPolicy
 from repro.core.targets import get_target
-from repro.cpu.core import OoOCore
-from repro.isa.base import get_isa
 
 MANIFEST_VERSION = 1
 
-_MODELS = {
-    "transient": FaultModel.TRANSIENT,
-    "stuck0": FaultModel.STUCK_AT_0,
-    "stuck1": FaultModel.STUCK_AT_1,
-}
+_MODELS = {m.value: m for m in FaultModel}
 
 
 class MatrixError(RuntimeError):
@@ -239,6 +232,14 @@ def _fault_model_variants(section: str, value, *, accel: bool,
     return variants
 
 
+def _validate_cell(section: str, spec) -> None:
+    """Reject a cell the campaign kernel would refuse, before any runs."""
+    try:
+        validate_spec(spec)
+    except ValueError as exc:
+        raise MatrixError(f"[{section}] {exc}") from exc
+
+
 def _liveness_mode(section: str, value) -> str | None:
     """Normalize a grid ``liveness`` entry (``"off"`` → ``None``).
 
@@ -297,38 +298,34 @@ def grid_from_dict(data: dict,
         for isa in cpu.get("isas", ["rv"]):
             for workload in cpu["workloads"]:
                 for target in cpu["targets"]:
-                    try:
-                        target_kind = get_target(target).kind
-                    except KeyError as exc:
-                        raise MatrixError(f"[cpu] {exc.args[0]}") from exc
+                    base = CampaignSpec(
+                        isa=isa, workload=workload, target=target, cfg=cfg,
+                        scale=cpu.get("scale", "tiny"), model=model,
+                        faults=int(cpu.get("faults", 100)),
+                        seed=_cell_seed(int(cpu.get("seed", 1)),
+                                        "cpu", isa, workload, target),
+                        flips_per_mask=flips_per_mask,
+                        liveness=liveness,
+                    )
+                    _validate_cell("cpu", base)
                     variants = _protection_variants(
                         "cpu", cpu.get("protection"), target, model
                     )
                     fm_variants = _fault_model_variants(
                         "cpu", cpu.get("fault_model"), accel=False,
                         model=model, flips_per_mask=flips_per_mask,
-                        target_kind=target_kind, base_dir=base_dir,
+                        target_kind=get_target(target).kind,
+                        base_dir=base_dir,
                     )
                     for suffix, protection in variants:
                         for fm_suffix, fault_model in fm_variants:
-                            spec = CampaignSpec(
-                                isa=isa, workload=workload, target=target,
-                                cfg=cfg,
-                                scale=cpu.get("scale", "tiny"), model=model,
-                                faults=int(cpu.get("faults", 100)),
-                                seed=_cell_seed(int(cpu.get("seed", 1)),
-                                                "cpu", isa, workload, target),
-                                flips_per_mask=flips_per_mask,
-                                protection=protection,
-                                liveness=liveness,
-                                fault_model=fault_model,
-                            )
                             cells.append(MatrixCell(
                                 key=(f"cpu-{isa}-{workload}-{target}"
                                      f"{suffix}{fm_suffix}"),
                                 kind="cpu", row=f"{isa}/{workload}",
                                 col=f"{target}{suffix}{fm_suffix}",
-                                spec=spec,
+                                spec=replace(base, protection=protection,
+                                             fault_model=fault_model),
                             ))
 
     accel = data.get("accel")
@@ -355,27 +352,27 @@ def grid_from_dict(data: dict,
             if not components:
                 raise MatrixError(f"no components known for design {design!r}")
             for component in components:
+                base = AccelCampaignSpec(
+                    design=design, component=component,
+                    scale=accel.get("scale", "tiny"), model=model,
+                    faults=int(accel.get("faults", 100)),
+                    seed=_cell_seed(int(accel.get("seed", 1)),
+                                    "accel", design, component),
+                    liveness=liveness,
+                )
+                _validate_cell("accel", base)
                 variants = _protection_variants(
                     "accel", accel.get("protection"), component, model
                 )
                 for suffix, protection in variants:
                     for fm_suffix, fault_model in fm_variants:
-                        spec = AccelCampaignSpec(
-                            design=design, component=component,
-                            scale=accel.get("scale", "tiny"), model=model,
-                            faults=int(accel.get("faults", 100)),
-                            seed=_cell_seed(int(accel.get("seed", 1)),
-                                            "accel", design, component),
-                            protection=protection,
-                            liveness=liveness,
-                            fault_model=fault_model,
-                        )
                         cells.append(MatrixCell(
                             key=(f"accel-{design}-{component}"
                                  f"{suffix}{fm_suffix}"),
                             kind="accel", row=f"accel/{design}",
                             col=f"{component}{suffix}{fm_suffix}",
-                            spec=spec,
+                            spec=replace(base, protection=protection,
+                                         fault_model=fault_model),
                         ))
 
     if not cells:
@@ -421,60 +418,6 @@ def load_grid(path: str | Path) -> MatrixGrid:
 
 
 # --------------------------------------------------------------------------
-# worker-side execution (one function for both cell kinds)
-# --------------------------------------------------------------------------
-
-#: policies the pool initializer armed for this worker process
-_W_CHECKPOINTS: CheckpointPolicy | None = None
-_W_SANITIZER: SanitizerPolicy | None = None
-_W_HANG_CYCLES: int = DEFAULT_HANG_CYCLES
-#: per-process replay-context cache: accel cells re-use DMA'd state
-_W_ACCEL_CTX: dict = {}
-
-
-def _matrix_worker_init(checkpoints: CheckpointPolicy | None = None,
-                        sanitizer: SanitizerPolicy | None = None,
-                        hang_cycles: int = DEFAULT_HANG_CYCLES) -> None:
-    global _W_CHECKPOINTS, _W_SANITIZER, _W_HANG_CYCLES
-    _W_CHECKPOINTS = checkpoints
-    _W_SANITIZER = sanitizer
-    _W_HANG_CYCLES = hang_cycles
-    _W_ACCEL_CTX.clear()
-
-
-def _matrix_task(task: tuple) -> FaultRecord:
-    """Run one (kind, spec, mask) task; used by pool workers *and* the
-    serial path, so both share the per-process golden/exe/context caches."""
-    kind, spec, mask = task
-    if kind == "cpu":
-        return run_one_fault(spec, mask, checkpoints=_W_CHECKPOINTS,
-                             sanitizer=_W_SANITIZER,
-                             hang_cycles=_W_HANG_CYCLES)
-    from repro.accel.campaign import AccelReplayContext, run_one_accel_fault
-
-    ctx = _W_ACCEL_CTX.get(spec)
-    if ctx is None:
-        ctx = _W_ACCEL_CTX[spec] = AccelReplayContext(spec)
-    return run_one_accel_fault(spec, mask, ctx, sanitizer=_W_SANITIZER,
-                               hang_cycles=_W_HANG_CYCLES)
-
-
-def _task_record(outcome: TaskOutcome) -> FaultRecord:
-    """Map a supervised verdict for a (kind, spec, mask) item to a record."""
-    _kind, _spec, mask = outcome.item
-    if outcome.ok:
-        record: FaultRecord = outcome.value
-        if outcome.attempts > 1:
-            record = replace(record,
-                             retries=record.retries + outcome.attempts - 1)
-        return record
-    kind = "harness_timeout" if outcome.kind == "timeout" else "harness_error"
-    return quarantine_record(
-        mask, kind, outcome.error or kind, retries=outcome.attempts - 1
-    )
-
-
-# --------------------------------------------------------------------------
 # per-cell scheduling state
 # --------------------------------------------------------------------------
 
@@ -482,10 +425,7 @@ def _task_record(outcome: TaskOutcome) -> FaultRecord:
 @dataclass
 class _CellState:
     cell: MatrixCell
-    masks: list[FaultMask]
-    population_bits: int
-    golden: object                      # GoldenRun | AccelGolden
-    timeout_s: float
+    runtime: CellRuntime
     journal_path: Path
     writer: OrderedJournalWriter | None = None
     records: dict[int, FaultRecord] = field(default_factory=dict)
@@ -499,7 +439,7 @@ class _CellState:
 
     @property
     def budget(self) -> int:
-        return len(self.masks)
+        return len(self.runtime.masks)
 
     def done_prefix(self) -> int:
         """Contiguous completed positions from 0 (the journalable prefix)."""
@@ -518,31 +458,23 @@ class _CellState:
         n = self.n_valid(self.stop_at or self.done_prefix())
         if n == 0:
             return None
-        return error_margin_for(n, self.population_bits, confidence)
+        return error_margin_for(n, self.runtime.population_bits, confidence)
 
     def evaluate(self, adaptive: AdaptiveSampling | None) -> int | None:
         """Settle terminal status, or return the next dispatch boundary.
 
-        Walks the absolute batch boundaries against the completed prefix —
-        the identical walk an uninterrupted run makes — so a resumed matrix
-        reaches the same stop decision at the same fault.
+        :func:`~repro.core.sampling.stop_decision` against the completed
+        prefix — the identical walk an uninterrupted run makes — so a
+        resumed matrix reaches the same stop decision at the same fault.
         """
         if self.status:
             return None
-        done = self.done_prefix()
-        if adaptive is None:
-            if done >= self.budget:
-                self.status, self.stop_at = "exhausted", self.budget
-                return None
-            return self.budget
-        for b in adaptive.boundaries(self.budget):
-            if b > done:
-                return b
-            if adaptive.satisfied(self.n_valid(b), self.population_bits):
-                self.status, self.stop_at = "converged", b
-                self.stopped_early = b < self.budget
-                return None
-        self.status, self.stop_at = "exhausted", self.budget
+        status, at = stop_decision(adaptive, self.budget, self.done_prefix(),
+                                   self.n_valid, self.runtime.population_bits)
+        if status == "running":
+            return at
+        self.status, self.stop_at = status, at
+        self.stopped_early = status == "converged" and at < self.budget
         return None
 
 
@@ -568,21 +500,14 @@ class MatrixResult:
         return sum(1 for c in self.cells if c.get("stopped_early"))
 
 
-def _cell_result(state: _CellState):
-    """Materialize the campaign-result object for a finished cell."""
-    records = [state.records[i] for i in range(state.stop_at)]
-    if state.cell.kind == "cpu":
-        return CampaignResult(
-            spec=state.cell.spec, records=records, golden=state.golden,
-            population_bits=state.population_bits, resumed=state.resumed,
-            stopped_early=state.stopped_early,
-        )
-    from repro.accel.campaign import AccelCampaignResult
-
-    return AccelCampaignResult(
-        spec=state.cell.spec, records=records, golden=state.golden,
-        population_bits=state.population_bits, resumed=state.resumed,
-        stopped_early=state.stopped_early,
+def _cell_result(state: _CellState) -> CampaignResult:
+    """Materialize the campaign result for a finished cell."""
+    return CampaignResult(
+        spec=state.cell.spec,
+        records=[state.records[i] for i in range(state.stop_at)],
+        golden=state.runtime.golden,
+        population_bits=state.runtime.population_bits,
+        resumed=state.resumed, stopped_early=state.stopped_early,
     )
 
 
@@ -602,35 +527,12 @@ class CellRuntime:
 def cell_runtime(cell: MatrixCell,
                  ckpt_policy: CheckpointPolicy) -> CellRuntime:
     """Generate the cell's sample and derive budgets (deterministic)."""
-    if cell.kind == "cpu":
-        spec = cell.spec
-        golden = golden_run(spec.isa, spec.workload, spec.cfg, spec.scale,
-                            checkpoints=ckpt_policy,
-                            liveness=spec.liveness is not None)
-        masks = masks_for_spec(spec, golden)
-        probe = OoOCore.from_executable(golden.exe, get_isa(spec.isa), spec.cfg)
-        entries, bits = target_geometry(spec, probe)
-        population = entries * bits
-        timeout = default_fault_timeout(golden.cycles,
-                                        spec.cfg.watchdog_factor)
-    else:
-        from repro.accel.campaign import (
-            accel_golden,
-            accel_masks,
-            accel_population_bits,
-        )
-        from repro.accel_designs import get_design
-
-        spec = cell.spec
-        golden = accel_golden(spec, liveness=spec.liveness is not None)
-        masks = accel_masks(spec, golden)
-        design = get_design(spec.design)
-        size = {d.name: d.size for d in design.memories}[spec.component]
-        population = accel_population_bits(spec, size)
-        budget_cycles = golden.cycles * spec.watchdog_factor + 1000
-        timeout = max(60.0, budget_cycles / 2_000)
-    return CellRuntime(masks=tuple(masks), population_bits=population,
-                       golden=golden, timeout_s=timeout)
+    sub = cell.spec.substrate(ckpt_policy)
+    golden = sub.golden()
+    return CellRuntime(masks=tuple(sub.masks(golden)),
+                       population_bits=sub.population_bits(golden),
+                       golden=golden,
+                       timeout_s=fault_timeout(sub.watchdog(golden)))
 
 
 def _prepare_cell(cell: MatrixCell, out_dir: Path, resume: bool,
@@ -638,20 +540,12 @@ def _prepare_cell(cell: MatrixCell, out_dir: Path, resume: bool,
     """Generate the cell's sample, derive budgets, replay its journal."""
     runtime = cell_runtime(cell, ckpt_policy)
     spec = cell.spec
-    masks = list(runtime.masks)
+    masks = runtime.masks
     journal_path = out_dir / "cells" / f"{cell.key}.jsonl"
-    state = _CellState(
-        cell=cell, masks=masks, population_bits=runtime.population_bits,
-        golden=runtime.golden, timeout_s=runtime.timeout_s,
-        journal_path=journal_path,
-    )
+    state = _CellState(cell=cell, runtime=runtime, journal_path=journal_path)
     if resume and journal_path.exists():
         repair_torn_tail(journal_path)
-        done = CampaignJournal.completed(journal_path, spec)
-        done = {
-            m.mask_id: done[m.mask_id] for m in masks
-            if m.mask_id in done and done[m.mask_id].mask == m
-        }
+        done = journaled_records(journal_path, spec, masks)
         prefix = contiguous_prefix(masks, done)
         state.records = {i: done[masks[i].mask_id] for i in range(prefix)}
         state.resumed = prefix
@@ -759,17 +653,16 @@ def run_matrix(
         )
     _write_manifest(manifest_path, grid, states)
 
-    timeouts = {id(s.cell.spec): s.timeout_s for s in states}
-    by_spec = {id(s.cell.spec): s for s in states}
+    timeouts = {id(s.cell.spec): s.runtime.timeout_s for s in states}
 
     def item_timeout(item: tuple) -> float:
-        return timeouts[id(item[1])]
+        return timeouts[id(item[0])]
 
     policy = SupervisorPolicy()
     if workers <= 1:
         # one arming for the whole matrix, so the serial path keeps its
         # accel replay contexts and golden caches warm across rounds
-        _matrix_worker_init(ckpt_policy, sanitizer, hang_cycles)
+        _worker_init(ckpt_policy, sanitizer, hang_cycles)
     try:
         while True:
             # one scheduling round: every active cell contributes its next
@@ -789,7 +682,7 @@ def run_matrix(
                     continue
                 start = s.done_prefix()
                 batches.append([
-                    (s, i, s.masks[i]) for i in range(start, boundary)
+                    (s, i, s.runtime.masks[i]) for i in range(start, boundary)
                 ])
             if not batches:
                 break
@@ -799,7 +692,7 @@ def run_matrix(
                 for b in batches:
                     if depth < len(b):
                         tasks.append(b[depth])
-            items = [(t[0].cell.kind, t[0].cell.spec, t[2]) for t in tasks]
+            items = [(t[0].cell.spec, t[2]) for t in tasks]
 
             def finish(task_index: int, record: FaultRecord,
                        wall_s: float | None = None) -> None:
@@ -812,34 +705,10 @@ def run_matrix(
                         record, wall_s=wall_s,
                         generator=fm.name if fm is not None else None)
 
-            if workers > 1:
-                def on_result(o: TaskOutcome) -> None:
-                    finish(o.index, _task_record(o), wall_s=o.wall_s)
-
-                on_event = None
-                if telemetry is not None:
-                    def on_event(kind: str, info: dict) -> None:
-                        if kind == "dispatch":
-                            telemetry.fault_dispatched(
-                                items[info["index"]][2].mask_id,
-                                attempt=info.get("attempt", 0),
-                            )
-                        else:
-                            telemetry.supervisor_event(kind, info)
-                run_supervised(
-                    _matrix_task, items, workers=workers, policy=policy,
-                    initializer=_matrix_worker_init,
-                    initargs=(ckpt_policy, sanitizer, hang_cycles),
-                    on_result=on_result, on_event=on_event,
-                    item_timeout=item_timeout,
-                )
-            else:
-                for idx, item in enumerate(items):
-                    if telemetry is not None:
-                        telemetry.fault_dispatched(item[2].mask_id)
-                    started = time.perf_counter()
-                    record = _matrix_task(item)
-                    finish(idx, record, wall_s=time.perf_counter() - started)
+            run_tasks(items, workers, finish, telemetry=telemetry,
+                      policy=policy,
+                      initargs=(ckpt_policy, sanitizer, hang_cycles),
+                      item_timeout=item_timeout)
             _write_manifest(manifest_path, grid, states)
     finally:
         for s in states:

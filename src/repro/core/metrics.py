@@ -67,7 +67,9 @@ def avf(records: Sequence) -> float | None:
     masked, n = _count(records, Outcome.MASKED)
     if n == 0:
         return _degenerate(records)
-    return (n - masked) / n
+    # ``1 - masked / n`` rather than ``(n - masked) / n``: the two can differ
+    # in the last bit, and campaign summaries have always printed this one
+    return 1 - masked / n
 
 
 def sdc_avf(records: Sequence) -> float | None:

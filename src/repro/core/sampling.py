@@ -124,6 +124,28 @@ class AdaptiveSampling:
         )
 
 
+def stop_decision(adaptive: AdaptiveSampling | None, budget: int, done: int,
+                  n_valid, population: int) -> tuple[str, int]:
+    """Where a campaign of ``budget`` masks stands once ``done`` have run.
+
+    ``("running", b)``: dispatch up to boundary ``b`` next;
+    ``("converged", b)``: the margin target was met at boundary ``b``;
+    ``("exhausted", budget)``: the budget is spent.  ``n_valid(b)`` counts
+    the valid records among the first ``b``.  Every runner — a campaign,
+    a matrix cell, a shard merge — walks the same absolute boundaries, so
+    a resumed or merged campaign stops at the fault an uninterrupted one
+    does.  Without ``adaptive`` the only boundary is the budget.
+    """
+    if adaptive is None or budget == 0:
+        return ("exhausted", budget) if done >= budget else ("running", budget)
+    for b in adaptive.boundaries(budget):
+        if b > done:
+            return "running", b
+        if adaptive.satisfied(n_valid(b), population):
+            return "converged", b
+    return "exhausted", budget
+
+
 def generate_masks(
     structure: str,
     entries: int,

@@ -66,14 +66,9 @@ from repro.core.journal import (
     raw_journal_lines,
     repair_torn_tail,
 )
-from repro.core.matrix import (
-    MatrixGrid,
-    cell_runtime,
-    load_grid,
-    _matrix_task,
-    _matrix_worker_init,
-)
-from repro.core.sampling import AdaptiveSampling, error_margin_for
+from repro.core.campaign import _worker, _worker_init
+from repro.core.matrix import MatrixGrid, cell_runtime, load_grid
+from repro.core.sampling import AdaptiveSampling, error_margin_for, stop_decision
 from repro.core.sanitizer import DEFAULT_HANG_CYCLES
 from repro.core.supervisor import SupervisorPolicy, run_with_retry
 
@@ -624,7 +619,7 @@ def run_worker(
                 "(grid edited after planning?)")
         cells = {c.key: c for c in grid.cells}
         ttl_s = float(plan.get("ttl_s", DEFAULT_TTL_S))
-        _matrix_worker_init(ckpt, sanitizer, hang_cycles)
+        _worker_init(ckpt, sanitizer, hang_cycles)
         runtimes: dict = {}
         requested: set[str] = set()
 
@@ -760,7 +755,7 @@ def _run_shard(store: ShardStore, plan: dict, cell, shard: ShardSpec,
                 continue
             if on_fault is not None:
                 on_fault(shard.id, i)
-            record = _matrix_task((cell.kind, spec, masks[i]))
+            record = _worker((spec, masks[i]))
             store._io(lambda r=record: journal.append(r), passthrough=())
             appended += 1
             result.faults_run += 1
@@ -826,33 +821,6 @@ def _collect_cell_lines(store: ShardStore, cell_key: str,
     return header, chosen, conflict_ids
 
 
-def _derive_stop(adaptive: AdaptiveSampling | None, outcomes: list[str],
-                 prefix: int, budget: int,
-                 population: int | None) -> tuple[int | None, str, bool]:
-    """Re-derive the adaptive stop from the merged record stream.
-
-    The identical absolute-boundary walk the single-host runner makes
-    (:meth:`repro.core.matrix._CellState.evaluate`), applied to the merged
-    contiguous prefix — so the merged journal is truncated at exactly the
-    fault a serial run would have stopped at.
-    """
-    if adaptive is None or population is None:
-        if prefix >= budget:
-            return budget, "exhausted", False
-        return None, "running", False
-
-    def n_valid(boundary: int) -> int:
-        return sum(1 for i in range(min(boundary, prefix))
-                   if outcomes[i] != "sim_fault")
-
-    for b in adaptive.boundaries(budget):
-        if b > prefix:
-            return None, "running", False
-        if adaptive.satisfied(n_valid(b), population):
-            return b, "converged", b < budget
-    return budget, "exhausted", False
-
-
 def merge_shards(out_dir: str | Path, *,
                  store: ShardStore | None = None) -> MergeResult:
     """Rebuild canonical ``cells/*.jsonl`` byte-identically from the shards.
@@ -887,8 +855,16 @@ def merge_shards(out_dir: str | Path, *,
             prefix += 1
         outcomes = [json.loads(chosen[i][2]).get("outcome")
                     for i in range(prefix)]
-        stop_at, status, stopped_early = _derive_stop(
-            adaptive, outcomes, prefix, budget, population)
+        # re-derive the adaptive stop from the merged contiguous prefix with
+        # the single-host runner's walk, so the merged journal ends at
+        # exactly the fault a serial run would have stopped at
+        status, stop_at = stop_decision(
+            adaptive if population is not None else None, budget, prefix,
+            lambda b: sum(1 for o in outcomes[:b] if o != "sim_fault"),
+            population)
+        stopped_early = status == "converged" and stop_at < budget
+        if status == "running":
+            stop_at = None
 
         journal_rel = f"cells/{cell_key}.jsonl"
         entry = {

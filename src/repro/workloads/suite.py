@@ -62,7 +62,8 @@ def register_workload(name: str, builder: Callable[[str], Program]) -> None:
     EXTRA_WORKLOADS[name] = builder
 
 
-def _lookup(name: str) -> Callable[[str], Program]:
+def workload_builder(name: str) -> Callable[[str], Program]:
+    """The builder of the named workload (``KeyError`` lists the known ones)."""
     if name in WORKLOADS:
         return WORKLOADS[name]
     if name not in EXTRA_WORKLOADS:
@@ -79,5 +80,5 @@ def build_workload(name: str, scale: str = "default") -> Program:
     """Build (and memoize) the named workload at the requested scale."""
     key = (name, scale)
     if key not in _CACHE:
-        _CACHE[key] = _lookup(name)(scale)
+        _CACHE[key] = workload_builder(name)(scale)
     return _CACHE[key]

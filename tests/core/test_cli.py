@@ -214,3 +214,49 @@ def test_campaign_adaptive_flag_stops_early(capsys, tmp_path):
     from repro.core.journal import CampaignJournal
 
     assert len(CampaignJournal.load(journal)) == 10
+
+
+@pytest.mark.parametrize("argv, alternative", [
+    (["campaign", "--workload", "bogus"], "crc32"),
+    (["campaign", "--target", "bogus"], "regfile_int"),
+    (["accel-campaign", "--design", "bogus"], "gemm"),
+    (["accel-campaign", "--component", "BOGUS"], "MATRIX1"),
+])
+def test_unknown_names_are_usage_errors(capsys, argv, alternative):
+    assert main([*argv, "--faults", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ")
+    assert "available:" in err and alternative in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["campaign", "accel-campaign"])
+def test_negative_fault_budget_is_rejected(capsys, command):
+    assert main([command, "--faults", "-3"]) == 2
+    assert "fault budget must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--workload", "crc32", "--target", "regfile_int"],
+    ["accel-campaign", "--scale", "tiny"],
+])
+def test_zero_fault_budget_reports_undefined_avf(capsys, argv):
+    assert main([*argv, "--faults", "0"]) == 0
+    rows = dict(line.split(None, 1) for line in
+                capsys.readouterr().out.splitlines()[2:] if line.strip())
+    assert rows["avf"].strip() == "n/a" and rows["budget"].strip() == "0"
+
+
+@pytest.mark.parametrize("section", [
+    '[cpu]\nworkloads = ["bogus"]\ntargets = ["lq"]\nfaults = 2\n',
+    '[accel]\ndesigns = ["gemm"]\ncomponents = ["BOGUS"]\nfaults = 2\n',
+    '[cpu]\nworkloads = ["crc32"]\ntargets = ["lq"]\nfaults = -2\n',
+])
+def test_matrix_command_rejects_unknown_names_and_budgets(capsys, tmp_path,
+                                                         section):
+    grid = tmp_path / "grid.toml"
+    grid.write_text(section)
+    assert main(["matrix", str(grid), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [")
+    assert "available:" in err or "fault budget" in err

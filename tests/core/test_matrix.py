@@ -96,6 +96,32 @@ def test_load_grid_parses_toml(tmp_path):
         load_grid(bad)
 
 
+def test_grid_rejects_unknown_names_and_negative_budgets():
+    """Grid cells pass the campaign kernel's own validation at load time."""
+    cpu = {"workloads": ["crc32"], "targets": ["lq"], "faults": 2}
+    with pytest.raises(MatrixError, match=r"\[cpu\] unknown workload 'x'.*"
+                                          r"available: .*crc32"):
+        grid_from_dict({"cpu": {**cpu, "workloads": ["x"]}})
+    with pytest.raises(MatrixError, match=r"\[cpu\] unknown injection target"):
+        grid_from_dict({"cpu": {**cpu, "targets": ["rob"]}})
+    with pytest.raises(MatrixError, match=r"\[cpu\] unknown ISA"):
+        grid_from_dict({"cpu": {**cpu, "isas": ["mips"]}})
+    with pytest.raises(MatrixError, match=r"\[accel\] unknown component "
+                                          r"'BOGUS'.*available: MATRIX1"):
+        grid_from_dict({"accel": {"designs": ["gemm"],
+                                  "components": ["BOGUS"]}})
+    with pytest.raises(MatrixError, match=r"\[accel\] unknown accelerator "
+                                          r"design"):
+        grid_from_dict({"accel": {"designs": ["nope"],
+                                  "components": ["MATRIX1"]}})
+    with pytest.raises(MatrixError, match="fault budget must be >= 0"):
+        grid_from_dict({"cpu": {**cpu, "faults": -2}})
+    with pytest.raises(MatrixError, match="fault budget must be >= 0"):
+        grid_from_dict({"accel": {"designs": ["gemm"], "faults": -1}})
+    zero = grid_from_dict({"cpu": {**cpu, "faults": 0}})
+    assert [c.spec.faults for c in zero.cells] == [0]
+
+
 # ------------------------------------------------------- fault-model cells
 
 

@@ -24,6 +24,7 @@ from repro.core.faults import FaultMask
 from repro.core.journal import CampaignJournal
 from repro.core.outcome import HVFClass, Outcome
 from repro.core.report import render_robustness, robustness_summary
+from repro.core.sanitizer import DEFAULT_HANG_CYCLES
 from repro.core.targets import TARGETS, Target
 
 
@@ -272,7 +273,7 @@ def test_golden_runs_at_most_once_per_worker(cfg):
     with ProcessPoolExecutor(
         max_workers=1,
         initializer=campaign_mod._worker_init,
-        initargs=(spec,),
+        initargs=(None, None, DEFAULT_HANG_CYCLES, spec),
     ) as pool:
         records = list(pool.map(campaign_mod._worker,
                                 [(spec, m) for m in masks]))
