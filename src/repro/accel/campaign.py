@@ -465,9 +465,6 @@ class AccelSubstrate:
     def watchdog(self, golden: AccelGolden) -> int:
         return golden.cycles * self.spec.watchdog_factor + 1000
 
-    def skipped_cycles(self, mask: FaultMask, golden: AccelGolden) -> int:
-        return 0
-
     def fast_used(self, mask: FaultMask, golden: AccelGolden,
                   fast: bool) -> bool:
         return fast and self.ctx is not None

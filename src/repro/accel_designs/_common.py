@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import struct
 
-from repro.kernel.ir import ProgramBuilder
 from repro.workloads._util import lcg_values
 
 
@@ -25,13 +24,3 @@ def det_floats(seed: int, count: int, lo: float = -4.0, hi: float = 4.0) -> list
     raw = lcg_values(seed, count, 0, 1 << 20)
     span = hi - lo
     return [lo + (v / float(1 << 20)) * span for v in raw]
-
-
-def accel_builder(name: str) -> ProgramBuilder:
-    """A ProgramBuilder for an accelerator kernel (no data segment)."""
-    return ProgramBuilder(name)
-
-
-def scale_factor(scale: str) -> int:
-    """Kernel size scaling: 'tiny' halves the default problem sizes."""
-    return 1 if scale == "tiny" else 2

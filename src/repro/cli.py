@@ -178,8 +178,8 @@ def _add_campaign(sub) -> None:
     p.add_argument("--journal", metavar="PATH",
                    help="append per-fault records to this JSONL run journal")
     p.add_argument("--resume", metavar="PATH",
-                   help="skip masks already completed in this journal "
-                        "(typically the same path as --journal)")
+                   help="skip the masks this journal completed, up to its "
+                        "first gap (typically the same path as --journal)")
     p.add_argument("--timeout", type=float, metavar="SECONDS",
                    help="per-fault wall-clock budget for parallel workers "
                         "(default: derived from the golden cycle count)")
@@ -227,7 +227,8 @@ def _add_accel(sub) -> None:
     p.add_argument("--journal", metavar="PATH",
                    help="append per-fault records to this JSONL run journal")
     p.add_argument("--resume", metavar="PATH",
-                   help="skip masks already completed in this journal")
+                   help="skip the masks this journal completed, up to its "
+                        "first gap")
     _add_fault_model_arg(p)
     _add_protect_arg(p)
     _add_liveness_arg(p)
@@ -250,7 +251,8 @@ def _add_matrix(sub) -> None:
                         "manifest.json (default: matrix-out)")
     p.add_argument("--resume", action="store_true",
                    help="continue a previous run of the identical grid from "
-                        "its cell journals (torn tails repaired)")
+                        "its cell journals (torn tails and anything past "
+                        "a gap cut)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--csv", help="write the per-cell summary CSV here")
     _add_sanitizer_args(p)

@@ -12,10 +12,12 @@
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import Protocol
 
@@ -30,7 +32,12 @@ from repro.core.faultmodels import FaultModelSpec, cpu_sample, validate_for
 from repro.core import metrics
 from repro.core.faults import FaultMask, FaultModel
 from repro.core.injector import InjectionController
-from repro.core.journal import CampaignJournal
+from repro.core.journal import (
+    CampaignJournal,
+    OrderedJournalWriter,
+    contiguous_prefix,
+    raw_journal_lines,
+)
 from repro.core.liveness import (
     LivenessMap,
     attach_cpu_recorders,
@@ -547,7 +554,7 @@ class Substrate(Protocol):
     """One kind of hardware a campaign injects into.
 
     The campaign kernel — the guarded per-fault path
-    (:func:`guarded_fault`), the run loop (:func:`run_campaign`), the result
+    (:func:`guarded_fault`), the run loop (:func:`run_cells`), the result
     type, the pool worker — is written once against this protocol.
     :class:`CpuSubstrate` covers the OoO core's structures and
     :class:`~repro.accel.campaign.AccelSubstrate` the DSA scratchpads and
@@ -585,9 +592,6 @@ class Substrate(Protocol):
 
     def watchdog(self, golden) -> int:
         """Simulated-cycle budget of one fault run."""
-
-    def skipped_cycles(self, mask: FaultMask, golden) -> int:
-        """Cycles the fast path lets this mask's run skip."""
 
     def fast_used(self, mask: FaultMask, golden, fast: bool) -> bool:
         """Whether a run with ``fast`` set took the fast path."""
@@ -705,16 +709,13 @@ class CpuSubstrate:
     def watchdog(self, golden: GoldenRun) -> int:
         return golden.cycles * self.spec.cfg.watchdog_factor + 10_000
 
-    def skipped_cycles(self, mask: FaultMask, golden: GoldenRun) -> int:
-        if not self.checkpoints.enabled or golden.checkpoints is None:
-            return 0
-        return golden.checkpoints.restore_cycle_for(
-            min(f.cycle for f in mask.flips)
-        )
-
     def fast_used(self, mask: FaultMask, golden: GoldenRun,
                   fast: bool) -> bool:
-        return fast and self.skipped_cycles(mask, golden) > 0
+        if not (fast and self.checkpoints.enabled) or golden.checkpoints is None:
+            return False
+        return golden.checkpoints.restore_cycle_for(
+            min(f.cycle for f in mask.flips)
+        ) > 0
 
     def run_fault(self, mask: FaultMask,
                   golden: GoldenRun | None = None) -> FaultRecord:
@@ -1105,8 +1106,7 @@ def _worker_substrate(spec) -> Substrate:
 
 def _worker(task: tuple) -> FaultRecord:
     """Run one ``(spec, mask)`` task: the pool entry of every runner, and
-    the serial matrix and shard paths, which share its per-process
-    caches."""
+    the serial shard path, which shares its per-process caches."""
     spec, mask = task
     return _worker_substrate(spec).run_fault(mask)
 
@@ -1131,7 +1131,7 @@ def outcome_to_record(outcome: TaskOutcome) -> FaultRecord:
     )
 
 
-def run_tasks(tasks: list[tuple], workers: int, on_record, *, run=_worker,
+def run_tasks(tasks: list[tuple], workers: int, on_record, *, run,
               telemetry=None, policy: SupervisorPolicy | None = None,
               initargs: tuple = (), item_timeout=None) -> None:
     """Run ``(spec, mask)`` tasks; hand each finished record to
@@ -1169,7 +1169,7 @@ def run_tasks(tasks: list[tuple], workers: int, on_record, *, run=_worker,
 
 
 # --------------------------------------------------------------------------
-# campaign driver
+# the fault sample
 # --------------------------------------------------------------------------
 
 
@@ -1223,13 +1223,9 @@ def masks_for_spec(spec: CampaignSpec, golden: GoldenRun) -> list[FaultMask]:
     )
 
 
-def journaled_records(path: str | Path, spec,
-                      masks) -> dict[int, FaultRecord]:
-    """The journal's records for ``masks``, by mask_id: a journaled
-    verdict is trusted only for the identical mask."""
-    journaled = CampaignJournal.completed(path, spec)
-    return {m.mask_id: journaled[m.mask_id] for m in masks
-            if m.mask_id in journaled and journaled[m.mask_id].mask == m}
+# --------------------------------------------------------------------------
+# the run loop (campaigns and matrix cells)
+# --------------------------------------------------------------------------
 
 
 def _check_unique_mask_ids(masks: list[FaultMask]) -> None:
@@ -1253,6 +1249,210 @@ def fault_timeout(budget_cycles: int) -> float:
     return max(60.0, budget_cycles / 2_000)
 
 
+@dataclass
+class CampaignCell:
+    """One campaign's run state: its sample, the records completed so far
+    (by position), the in-order journal writer and the stop status.
+
+    :func:`run_campaign` runs one cell and
+    :func:`repro.core.matrix.run_matrix` one per grid cell, both through
+    :func:`run_cells`.
+    """
+
+    sub: Substrate
+    golden: object
+    masks: list[FaultMask]
+    population_bits: int
+    #: per-fault wall-clock budget (:func:`fault_timeout` of the watchdog)
+    timeout_s: float
+    writer: OrderedJournalWriter | None = None
+    records: dict[int, FaultRecord] = field(default_factory=dict)
+    #: positions ``[0, done)`` are complete
+    done: int = 0
+    #: positions taken from the resume journal
+    resumed: int = 0
+    #: 'converged' (adaptive stop) or 'exhausted' (budget spent) once
+    #: settled at position ``stop_at``; '' while running
+    status: str = ""
+    stop_at: int = 0
+
+    @property
+    def spec(self):
+        return self.sub.spec
+
+    @property
+    def budget(self) -> int:
+        return len(self.masks)
+
+    @property
+    def stopped_early(self) -> bool:
+        return self.status == "converged" and self.stop_at < self.budget
+
+    def n_valid(self, boundary: int) -> int:
+        return metrics.n_valid(
+            [self.records[i] for i in range(min(boundary, self.done))])
+
+    def achieved_margin(self, confidence: float = 0.95) -> float | None:
+        n = self.n_valid(self.stop_at or self.done)
+        if n == 0:
+            return None
+        return error_margin_for(n, self.population_bits, confidence)
+
+    def finish(self, position: int, record: FaultRecord) -> None:
+        self.records[position] = record
+        if self.writer is not None:
+            self.writer.add(position, record)
+        while self.done in self.records:
+            self.done += 1
+
+    def close(self) -> None:
+        if self.writer is not None:
+            self.writer.close()
+
+    def result(self) -> CampaignResult:
+        return CampaignResult(
+            spec=self.spec,
+            records=[self.records[i] for i in range(self.stop_at)],
+            golden=self.golden,
+            population_bits=self.population_bits,
+            resumed=min(self.resumed, self.stop_at),
+            stopped_early=self.stopped_early,
+        )
+
+
+def _resume_prefix(path: Path, spec, masks: list[FaultMask],
+                   rewrite: bool) -> list[FaultRecord]:
+    """The journal's records for the leading run of ``masks`` it holds.
+
+    A journaled verdict is trusted only for the identical mask, and
+    nothing past the first gap is trusted at all.  With ``rewrite`` the
+    file is atomically cut back to its header plus that prefix (raw line
+    bytes), so appending to it continues an uninterrupted run's journal.
+    """
+    journaled = CampaignJournal.completed(path, spec)
+    matching = {m.mask_id: journaled[m.mask_id] for m in masks
+                if m.mask_id in journaled and journaled[m.mask_id].mask == m}
+    prefix = masks[:contiguous_prefix(masks, matching)]
+    header, lines = raw_journal_lines(path)
+    if rewrite and header is not None:
+        raw = dict(lines)
+        body = header + b"".join(raw[m.mask_id] for m in prefix)
+        if path.read_bytes() != body:
+            tmp = path.with_name(path.name + ".tmp")
+            tmp.write_bytes(body)
+            os.replace(tmp, path)
+    return [matching[m.mask_id] for m in prefix]
+
+
+def open_cell(spec, masks: list[FaultMask] | None = None, *,
+              journal: str | Path | None = None,
+              resume: str | Path | None = None,
+              checkpoints: CheckpointPolicy | None = None,
+              sanitizer: SanitizerPolicy | None = None,
+              hang_cycles: int = DEFAULT_HANG_CYCLES) -> CampaignCell:
+    """Golden run, sample (``masks`` overrides it) and resumed prefix of
+    one campaign; with ``journal``, its writer is open for appending.
+
+    When ``resume`` is the ``journal`` file itself, records past a gap
+    are dropped from it before appending (see :func:`_resume_prefix`).
+    """
+    sub = spec.substrate(checkpoints, sanitizer, hang_cycles)
+    golden = sub.golden()
+    if masks is None:
+        masks = sub.masks(golden)
+    cell = CampaignCell(sub, golden, masks, sub.population_bits(golden),
+                        fault_timeout(sub.watchdog(golden)))
+    if journal is not None or resume is not None:
+        # mask_id is the journal/resume key
+        _check_unique_mask_ids(masks)
+    if resume is not None and Path(resume).exists():
+        rewrite = (journal is not None
+                   and Path(journal).resolve() == Path(resume).resolve())
+        prefix = _resume_prefix(Path(resume), spec, masks, rewrite)
+        cell.records = dict(enumerate(prefix))
+        cell.done = cell.resumed = len(prefix)
+    if journal is not None:
+        cell.writer = OrderedJournalWriter(CampaignJournal.open(journal, spec),
+                                           start=cell.done)
+    return cell
+
+
+def run_cells(cells: list[CampaignCell], workers: int, *,
+              checkpoints: CheckpointPolicy | None = None,
+              sanitizer: SanitizerPolicy | None = None,
+              hang_cycles: int = DEFAULT_HANG_CYCLES,
+              adaptive: AdaptiveSampling | None = None,
+              policy: SupervisorPolicy | None = None,
+              telemetry=None, labels: dict | None = None,
+              on_round=None) -> None:
+    """Run every cell until it settles; closes the cells' journals.
+
+    Each round asks :func:`~repro.core.sampling.stop_decision` where every
+    unsettled cell stands, then runs each running cell's next batch as one
+    interleaved queue through :func:`run_tasks`, round-robin across cells
+    so none starves the pool, and calls ``on_round()``.  A pool of one
+    cell primes its golden run in every worker.  Each fault runs under
+    ``policy.timeout_s`` when set, else under its cell's ``timeout_s``.
+    """
+    by_spec = {id(c.spec): c for c in cells}
+    policy = policy or SupervisorPolicy()
+
+    def item_timeout(task: tuple) -> float:
+        return by_spec[id(task[0])].timeout_s
+
+    def run(task: tuple) -> FaultRecord:
+        cell = by_spec[id(task[0])]
+        return cell.sub.run_fault(task[1], cell.golden)
+
+    prime = cells[0].spec if len(cells) == 1 else None
+    if telemetry is not None:
+        telemetry.campaign_started(planned=sum(c.budget for c in cells),
+                                   resumed=sum(c.resumed for c in cells),
+                                   labels=labels)
+    try:
+        while True:
+            batches = []
+            for cell in cells:
+                if cell.status:
+                    continue
+                status, at = stop_decision(adaptive, cell.budget, cell.done,
+                                           cell.n_valid, cell.population_bits)
+                if status == "running":
+                    batches.append([(cell, i) for i in range(cell.done, at)])
+                    continue
+                cell.status, cell.stop_at = status, at
+                if cell.stopped_early and telemetry is not None:
+                    telemetry.adaptive_stop(
+                        done=at, budget=cell.budget,
+                        margin=cell.achieved_margin(adaptive.confidence))
+            if not batches:
+                break
+            slots = [slot for depth in zip_longest(*batches)
+                     for slot in depth if slot is not None]
+
+            def finish(index: int, record: FaultRecord, wall_s: float) -> None:
+                cell, position = slots[index]
+                cell.finish(position, record)
+                if telemetry is not None:
+                    fm = cell.spec.fault_model
+                    telemetry.fault_finished(
+                        record, wall_s=wall_s,
+                        generator=fm.name if fm is not None else None)
+
+            run_tasks([(c.spec, c.masks[i]) for c, i in slots], workers,
+                      finish, run=run, telemetry=telemetry, policy=policy,
+                      initargs=(checkpoints, sanitizer, hang_cycles, prime),
+                      item_timeout=(item_timeout if policy.timeout_s is None
+                                    else None))
+            if on_round is not None:
+                on_round()
+    finally:
+        for cell in cells:
+            cell.close()
+        if telemetry is not None:
+            telemetry.campaign_finished()
+
+
 def run_campaign(
     spec: "CampaignSpec | AccelCampaignSpec",
     masks: list[FaultMask] | None = None,
@@ -1274,16 +1474,20 @@ def run_campaign(
     :class:`~repro.accel.campaign.AccelCampaignSpec`, and its
     :class:`Substrate` supplies everything that differs between the two
     (``checkpoints`` is the CPU's fast path and does not apply to a DSA).
+    The campaign is one :class:`CampaignCell` run by :func:`run_cells`,
+    the loop the matrix runner uses for a whole grid.
 
     * ``journal`` — append every completed :class:`FaultRecord` to this
-      JSONL file as it finishes (crash-safe progress log);
-    * ``resume`` — skip masks already present in this journal (typically
-      the same path as ``journal``), so an interrupted campaign restarts
-      where it left off;
+      JSONL file, in mask order whatever ``workers`` is, so the file is
+      byte-identical to a serial run's (crash-safe progress log);
+    * ``resume`` — take the journal's contiguous prefix of the sample
+      (typically the same path as ``journal``) as done, so an interrupted
+      campaign restarts where it left off.  Records journaled past a gap
+      are not trusted: when ``resume`` is ``journal`` they are cut from
+      the file, and the finished file equals an uninterrupted run's;
     * ``timeout_s`` / ``policy`` — supervised-executor knobs for the
       ``workers > 1`` path; the default timeout derives from the golden
-      run's watchdog budget via :func:`fault_timeout`, less the cycles
-      the earliest checkpoint restore skips;
+      run's watchdog budget via :func:`fault_timeout`;
     * ``checkpoints`` — checkpoint fast-forward / early-exit policy
       (default: :data:`repro.core.checkpoint.DEFAULT_POLICY`; pass
       :data:`repro.core.checkpoint.NO_CHECKPOINTS` to simulate every fault
@@ -1309,93 +1513,12 @@ def run_campaign(
       journaled records are a prefix of (and byte-identical to) the
       fixed-budget campaign's.
     """
-    sub = spec.substrate(checkpoints, sanitizer, hang_cycles)
     validate_spec(spec)
-    golden = sub.golden()
-    if masks is None:
-        masks = sub.masks(golden)
-    if journal is not None or resume is not None:
-        # mask_id is the journal/resume key; duplicates would silently
-        # overwrite each other's records
-        _check_unique_mask_ids(masks)
-    population_bits = sub.population_bits(golden)
-
-    done: dict[int, FaultRecord] = {}
-    if resume is not None and Path(resume).exists():
-        done = journaled_records(resume, spec, masks)
-    pending = [(i, m) for i, m in enumerate(masks) if m.mask_id not in done]
-    # position -> record, resumed ones first
-    by_pos = {i: done[m.mask_id] for i, m in enumerate(masks)
-              if m.mask_id in done}
-
-    if telemetry is not None:
-        telemetry.campaign_started(planned=len(masks), resumed=len(done),
-                                   labels=sub.identity())
-
-    writer = CampaignJournal.open(journal, spec) if journal is not None else None
-
-    generator_name = spec.fault_model.name if spec.fault_model else None
-
-    def record_done(record: FaultRecord, wall_s: float | None = None) -> None:
-        if writer is not None:
-            writer.append(record)
-        if telemetry is not None:
-            telemetry.fault_finished(record, wall_s=wall_s,
-                                     generator=generator_name)
-
-    if workers > 1 and pending and timeout_s is None:
-        # checkpointed runs only replay the delta past their restore cycle
-        skipped = min((sub.skipped_cycles(m, golden) for _, m in pending),
-                      default=0)
-        timeout_s = fault_timeout(sub.watchdog(golden) - skipped)
-    supervisor_policy = policy or SupervisorPolicy(timeout_s=timeout_s)
-
-    def dispatch(chunk: list[tuple[int, FaultMask]]) -> None:
-        """Simulate one batch of (position, mask) pairs into ``by_pos``."""
-        def finish(index: int, record: FaultRecord, wall_s: float) -> None:
-            record_done(record, wall_s=wall_s)
-            by_pos[chunk[index][0]] = record
-
-        if chunk:
-            run_tasks([(spec, m) for _, m in chunk], workers, finish,
-                      run=lambda task: sub.run_fault(task[1], golden),
-                      telemetry=telemetry, policy=supervisor_policy,
-                      initargs=(sub.checkpoints, sub.sanitizer,
-                                sub.hang_cycles, spec))
-
-    def valid_in_prefix(boundary: int) -> int:
-        return metrics.n_valid([by_pos[i] for i in range(boundary)])
-
-    dispatched = 0
-    try:
-        while True:
-            status, processed = stop_decision(adaptive, len(masks), dispatched,
-                                              valid_in_prefix, population_bits)
-            if status != "running":
-                break
-            dispatch([(i, m) for i, m in pending
-                      if dispatched <= i < processed])
-            dispatched = processed
-        stopped_early = status == "converged" and processed < len(masks)
-        if stopped_early and telemetry is not None:
-            telemetry.adaptive_stop(
-                done=processed, budget=len(masks),
-                margin=error_margin_for(
-                    valid_in_prefix(processed), population_bits,
-                    adaptive.confidence,
-                ),
-            )
-    finally:
-        if writer is not None:
-            writer.close()
-        if telemetry is not None:
-            telemetry.campaign_finished()
-
-    return CampaignResult(
-        spec=spec,
-        records=[by_pos[i] for i in range(processed)],
-        golden=golden,
-        population_bits=population_bits,
-        resumed=sum(1 for m in masks[:processed] if m.mask_id in done),
-        stopped_early=stopped_early,
-    )
+    cell = open_cell(spec, masks, journal=journal, resume=resume,
+                     checkpoints=checkpoints, sanitizer=sanitizer,
+                     hang_cycles=hang_cycles)
+    run_cells([cell], workers, checkpoints=checkpoints, sanitizer=sanitizer,
+              hang_cycles=hang_cycles, adaptive=adaptive,
+              policy=policy or SupervisorPolicy(timeout_s=timeout_s),
+              telemetry=telemetry, labels=cell.sub.identity())
+    return cell.result()

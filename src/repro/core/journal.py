@@ -2,9 +2,9 @@
 
 A 10k-fault campaign that dies at fault 9,800 — power loss, OOM kill,
 Ctrl-C — must not cost 9,800 completed simulations.  The journal records
-every :class:`~repro.core.campaign.FaultRecord` as a single JSON line the
-moment it completes, and ``run_campaign(..., resume=path)`` replays it to
-skip masks that already ran.
+every :class:`~repro.core.campaign.FaultRecord` as a single JSON line, in
+mask order, and ``run_campaign(..., resume=path)`` replays its contiguous
+prefix to skip masks that already ran.
 
 File layout (one JSON object per line):
 
@@ -21,8 +21,8 @@ Robustness properties:
   the process died is lost;
 * a truncated or garbled trailing line (torn write) is tolerated on load —
   reading stops there and the mask simply re-runs;
-* resume validates each journaled mask against the regenerated sample; a
-  mismatched row (journal from a different sample) is ignored rather than
+* resume validates each journaled mask against the regenerated sample and
+  stops at the first missing or mismatched one; nothing past that gap is
   trusted.
 """
 
@@ -409,19 +409,18 @@ def raw_journal_lines(
 
 
 class OrderedJournalWriter:
-    """Order-preserving adapter over :class:`CampaignJournal` for parallel
-    producers.
+    """Order-preserving adapter over :class:`CampaignJournal`: every
+    campaign and matrix cell journals through it.
 
-    A serial campaign journals records in mask order, and resume relies on
-    that: the journal is always a clean prefix of the sample.  A parallel
-    (or interleaved, in the experiment-matrix runner) campaign completes
-    records in *completion* order — appending those directly would leave
-    holes on a mid-run kill and make the journal bytes depend on worker
-    scheduling.  This writer buffers out-of-order completions and appends
-    only the contiguous prefix, in position order, so at every instant the
-    file is byte-identical to what a serial run would have written after
-    the same set of positions — a SIGKILL leaves a resumable prefix, never
-    a hole.
+    Resume trusts only the journal's prefix of the sample, so the journal
+    must always be one.  A campaign with a worker pool (or interleaved with
+    other cells, in the experiment-matrix runner) completes records in
+    *completion* order — appending those directly would leave holes on a
+    mid-run kill and make the journal bytes depend on worker scheduling.
+    This writer buffers out-of-order completions and appends only the
+    contiguous prefix, in position order, so at every instant the file is
+    byte-identical to what a serial run would have written after the same
+    set of positions — a SIGKILL leaves a resumable prefix, never a hole.
 
     ``start`` seeds the expected next position for resumed campaigns whose
     journal already holds positions ``[0, start)``.
@@ -465,10 +464,12 @@ class OrderedJournalWriter:
 def contiguous_prefix(masks, done: dict) -> int:
     """Length of the leading run of ``masks`` whose mask_ids are in ``done``.
 
-    The matrix runner journals through :class:`OrderedJournalWriter`, so a
-    valid cell journal always covers exactly the first *k* masks; anything
-    journaled beyond a gap (a corrupt or hand-edited journal) is ignored by
-    resume rather than trusted.
+    Campaigns and matrix cells journal through
+    :class:`OrderedJournalWriter`, so a journal they write always covers
+    exactly the first *k* masks.  Anything journaled beyond a gap (a
+    corrupt or hand-edited journal, or one an older release wrote in
+    completion order) is not resumed, and is cut from a journal that the
+    resumed run appends to.
     """
     k = 0
     for m in masks:

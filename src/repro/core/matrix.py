@@ -9,22 +9,26 @@ golden simulation per invocation.  This module runs a whole grid:
   (:func:`load_grid`): every ``[cpu]`` ``isas × workloads × targets``
   combination and every ``[accel]`` ``designs × components`` combination
   becomes one cell with its own spec, seed, and fault budget;
-* **one interleaved work queue** — each scheduling round drains every
-  active cell's next batch through a single
-  :func:`~repro.core.supervisor.run_supervised` pool (or a serial loop),
-  round-robin across cells, with per-item wall-clock budgets
-  (``item_timeout``) because CPU and DSA cells have wildly different
-  golden run lengths.  Compiled executables, golden runs and checkpoint
-  stores are shared across cells by the existing process-level caches —
-  cells differing only in target re-use the same golden simulation;
+* **one interleaved work queue** — every cell is a
+  :class:`~repro.core.campaign.CampaignCell`, and
+  :func:`~repro.core.campaign.run_cells` (the loop ``run_campaign`` runs
+  its single cell through) drains every active cell's next batch per
+  round through one supervised pool (or a serial loop), round-robin
+  across cells, with each cell's own per-fault wall-clock budget because
+  CPU and DSA cells have wildly different golden run lengths.  Compiled
+  executables, golden runs and checkpoint stores are shared across cells
+  by the existing process-level caches — cells differing only in target
+  re-use the same golden simulation;
 * **resumable matrix manifest** — every cell journals into
-  ``<out>/cells/<key>.jsonl`` through an
-  :class:`~repro.core.journal.OrderedJournalWriter`, so each cell journal
-  is byte-identical to the one a standalone serial campaign would write,
-  at every instant.  ``manifest.json`` (atomically rewritten each round)
-  records grid fingerprint and per-cell progress; ``resume=True`` repairs
-  torn tails, replays the journal prefix, and continues — producing
-  byte-identical cell journals to an uninterrupted run;
+  ``<out>/cells/<key>.jsonl`` in mask order, exactly as a standalone
+  campaign does, so each cell journal is byte-identical to the one a
+  standalone serial campaign would write, at every instant.
+  ``manifest.json`` (atomically rewritten each round; :func:`manifest_text`
+  is its one schema, shared with the shard merge) records grid
+  fingerprint and per-cell progress; ``resume=True`` resumes each cell
+  from its journal's contiguous prefix (cutting a torn tail or anything
+  past a gap) and continues — producing byte-identical cell journals to
+  an uninterrupted run;
 * **adaptive sequential sampling** — with an ``[adaptive]`` section the
   grid applies :class:`~repro.core.sampling.AdaptiveSampling` per cell:
   a cell whose achieved error margin reaches the target at a batch
@@ -38,35 +42,24 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from repro.core.campaign import (
-    CampaignResult,
+    CampaignCell,
     CampaignSpec,
-    FaultRecord,
-    _worker_init,
-    fault_timeout,
-    journaled_records,
+    open_cell,
+    run_cells,
     run_one_fault,  # noqa: F401  (re-exported: callers wrap it here)
-    run_tasks,
     validate_spec,
 )
 from repro.core.protection import ProtectionConfig, normalized
 from repro.core.checkpoint import DEFAULT_POLICY as DEFAULT_CHECKPOINT_POLICY
 from repro.core.checkpoint import CheckpointPolicy
-from repro.core.faults import FaultMask, FaultModel
-from repro.core.journal import (
-    CampaignJournal,
-    OrderedJournalWriter,
-    contiguous_prefix,
-    repair_torn_tail,
-)
-from repro.core.outcome import Outcome
+from repro.core.faults import FaultModel
 from repro.core.report import render_matrix
-from repro.core.sampling import AdaptiveSampling, error_margin_for, stop_decision
+from repro.core.sampling import AdaptiveSampling
 from repro.core.sanitizer import DEFAULT_HANG_CYCLES, SanitizerPolicy
-from repro.core.supervisor import SupervisorPolicy
 from repro.core.targets import get_target
 
 MANIFEST_VERSION = 1
@@ -418,67 +411,6 @@ def load_grid(path: str | Path) -> MatrixGrid:
 
 
 # --------------------------------------------------------------------------
-# per-cell scheduling state
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class _CellState:
-    cell: MatrixCell
-    runtime: CellRuntime
-    journal_path: Path
-    writer: OrderedJournalWriter | None = None
-    records: dict[int, FaultRecord] = field(default_factory=dict)
-    resumed: int = 0
-    #: terminal state: 'converged' (adaptive stop), 'exhausted' (budget
-    #: spent), or '' while still active; set with the stop position
-    status: str = ""
-    stop_at: int = 0
-    stopped_early: bool = False
-    stop_reported: bool = False
-
-    @property
-    def budget(self) -> int:
-        return len(self.runtime.masks)
-
-    def done_prefix(self) -> int:
-        """Contiguous completed positions from 0 (the journalable prefix)."""
-        n = 0
-        while n in self.records:
-            n += 1
-        return n
-
-    def n_valid(self, boundary: int) -> int:
-        return sum(
-            1 for i in range(min(boundary, self.done_prefix()))
-            if self.records[i].outcome is not Outcome.SIM_FAULT
-        )
-
-    def achieved_margin(self, confidence: float = 0.95) -> float | None:
-        n = self.n_valid(self.stop_at or self.done_prefix())
-        if n == 0:
-            return None
-        return error_margin_for(n, self.runtime.population_bits, confidence)
-
-    def evaluate(self, adaptive: AdaptiveSampling | None) -> int | None:
-        """Settle terminal status, or return the next dispatch boundary.
-
-        :func:`~repro.core.sampling.stop_decision` against the completed
-        prefix — the identical walk an uninterrupted run makes — so a
-        resumed matrix reaches the same stop decision at the same fault.
-        """
-        if self.status:
-            return None
-        status, at = stop_decision(adaptive, self.budget, self.done_prefix(),
-                                   self.n_valid, self.runtime.population_bits)
-        if status == "running":
-            return at
-        self.status, self.stop_at = status, at
-        self.stopped_early = status == "converged" and at < self.budget
-        return None
-
-
-# --------------------------------------------------------------------------
 # the matrix runner
 # --------------------------------------------------------------------------
 
@@ -500,97 +432,51 @@ class MatrixResult:
         return sum(1 for c in self.cells if c.get("stopped_early"))
 
 
-def _cell_result(state: _CellState) -> CampaignResult:
-    """Materialize the campaign result for a finished cell."""
-    return CampaignResult(
-        spec=state.cell.spec,
-        records=[state.records[i] for i in range(state.stop_at)],
-        golden=state.runtime.golden,
-        population_bits=state.runtime.population_bits,
-        resumed=state.resumed, stopped_early=state.stopped_early,
-    )
+def adaptive_to_dict(adaptive: AdaptiveSampling | None) -> dict | None:
+    """A grid's stopping rule as plans and manifests record it."""
+    return asdict(adaptive) if adaptive is not None else None
 
 
-@dataclass(frozen=True)
-class CellRuntime:
-    """Everything derived (not declared) about one grid cell: the sample,
-    its population, the golden run and the per-fault wall budget.  Shared
-    by the single-host matrix runner and distributed shard workers so both
-    execute the *identical* mask sequence."""
-
-    masks: tuple[FaultMask, ...]
-    population_bits: int
-    golden: object                      # GoldenRun | AccelGolden
-    timeout_s: float
-
-
-def cell_runtime(cell: MatrixCell,
-                 ckpt_policy: CheckpointPolicy) -> CellRuntime:
-    """Generate the cell's sample and derive budgets (deterministic)."""
-    sub = cell.spec.substrate(ckpt_policy)
-    golden = sub.golden()
-    return CellRuntime(masks=tuple(sub.masks(golden)),
-                       population_bits=sub.population_bits(golden),
-                       golden=golden,
-                       timeout_s=fault_timeout(sub.watchdog(golden)))
+def manifest_text(name: str, fingerprint: str, adaptive: dict | None,
+                  cells: dict) -> str:
+    """The ``manifest.json`` document: matrix runs and shard merges both
+    write it through here."""
+    return json.dumps({
+        "kind": "matrix-manifest",
+        "version": MANIFEST_VERSION,
+        "name": name,
+        "fingerprint": fingerprint,
+        "adaptive": adaptive,
+        "cells": cells,
+    }, indent=2) + "\n"
 
 
-def _prepare_cell(cell: MatrixCell, out_dir: Path, resume: bool,
-                  ckpt_policy: CheckpointPolicy) -> _CellState:
-    """Generate the cell's sample, derive budgets, replay its journal."""
-    runtime = cell_runtime(cell, ckpt_policy)
-    spec = cell.spec
-    masks = runtime.masks
-    journal_path = out_dir / "cells" / f"{cell.key}.jsonl"
-    state = _CellState(cell=cell, runtime=runtime, journal_path=journal_path)
-    if resume and journal_path.exists():
-        repair_torn_tail(journal_path)
-        done = journaled_records(journal_path, spec, masks)
-        prefix = contiguous_prefix(masks, done)
-        state.records = {i: done[masks[i].mask_id] for i in range(prefix)}
-        state.resumed = prefix
-    state.writer = OrderedJournalWriter(
-        CampaignJournal.open(journal_path, spec), start=state.done_prefix()
-    )
-    return state
+def _cell_journal(key: str) -> str:
+    """A cell's journal, relative to the matrix output directory."""
+    return f"cells/{key}.jsonl"
 
 
 def _write_manifest(path: Path, grid: MatrixGrid,
-                    states: list[_CellState]) -> None:
+                    cells: list[CampaignCell]) -> None:
     """Atomic manifest rewrite: progress + per-cell status each round."""
-    doc = {
-        "kind": "matrix-manifest",
-        "version": MANIFEST_VERSION,
-        "name": grid.name,
-        "fingerprint": grid.fingerprint,
-        "adaptive": (
-            {
-                "target_margin": grid.adaptive.target_margin,
-                "confidence": grid.adaptive.confidence,
-                "batch": grid.adaptive.batch,
-                "min_faults": grid.adaptive.min_faults,
-            }
-            if grid.adaptive is not None else None
-        ),
-        "cells": {
-            s.cell.key: {
-                "kind": s.cell.kind,
-                "row": s.cell.row,
-                "col": s.cell.col,
-                "journal": str(s.journal_path.relative_to(path.parent)),
-                "status": s.status or "running",
-                "faults_done": s.done_prefix(),
-                "budget": s.budget,
-                "stopped_early": s.stopped_early,
-                "achieved_margin": s.achieved_margin(
-                    grid.adaptive.confidence if grid.adaptive else 0.95
-                ),
-            }
-            for s in states
-        },
+    confidence = grid.adaptive.confidence if grid.adaptive else 0.95
+    entries = {
+        declared.key: {
+            "kind": declared.kind,
+            "row": declared.row,
+            "col": declared.col,
+            "journal": _cell_journal(declared.key),
+            "status": cell.status or "running",
+            "faults_done": cell.done,
+            "budget": cell.budget,
+            "stopped_early": cell.stopped_early,
+            "achieved_margin": cell.achieved_margin(confidence),
+        }
+        for declared, cell in zip(grid.cells, cells)
     }
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc, indent=2) + "\n")
+    tmp.write_text(manifest_text(grid.name, grid.fingerprint,
+                                 adaptive_to_dict(grid.adaptive), entries))
     os.replace(tmp, path)
 
 
@@ -619,10 +505,11 @@ def run_matrix(
     """Run every cell of ``grid``, journaling into ``out_dir``.
 
     ``resume=True`` continues a previous run of the *identical* grid from
-    its cell journals (torn tails repaired, stop decisions re-derived);
-    without it a populated output directory is refused rather than mixed.
-    Per-cell journals are byte-identical to standalone serial campaigns —
-    and to an uninterrupted matrix run — whatever ``workers`` is.
+    each cell journal's contiguous prefix (anything past a gap or a torn
+    tail is cut from the file, stop decisions are re-derived); without it
+    a populated output directory is refused rather than mixed.  Per-cell
+    journals are byte-identical to standalone serial campaigns — and to an
+    uninterrupted matrix run — whatever ``workers`` is.
     """
     out_dir = Path(out_dir)
     manifest_path = out_dir / "manifest.json"
@@ -641,95 +528,37 @@ def run_matrix(
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_policy = checkpoints if checkpoints is not None else DEFAULT_CHECKPOINT_POLICY
 
-    states = [
-        _prepare_cell(cell, out_dir, resume, ckpt_policy)
-        for cell in grid.cells
-    ]
-    if telemetry is not None:
-        telemetry.campaign_started(
-            planned=sum(s.budget for s in states),
-            resumed=sum(s.resumed for s in states),
-            labels={"matrix": grid.name},
-        )
-    _write_manifest(manifest_path, grid, states)
-
-    timeouts = {id(s.cell.spec): s.runtime.timeout_s for s in states}
-
-    def item_timeout(item: tuple) -> float:
-        return timeouts[id(item[0])]
-
-    policy = SupervisorPolicy()
-    if workers <= 1:
-        # one arming for the whole matrix, so the serial path keeps its
-        # accel replay contexts and golden caches warm across rounds
-        _worker_init(ckpt_policy, sanitizer, hang_cycles)
-    try:
-        while True:
-            # one scheduling round: every active cell contributes its next
-            # batch, interleaved round-robin so no cell starves the queue
-            batches = []
-            for s in states:
-                boundary = s.evaluate(grid.adaptive)
-                if boundary is None:
-                    if s.status == "converged" and s.stopped_early \
-                            and telemetry is not None \
-                            and not s.stop_reported:
-                        s.stop_reported = True
-                        telemetry.adaptive_stop(
-                            done=s.stop_at, budget=s.budget,
-                            margin=s.achieved_margin(grid.adaptive.confidence),
-                        )
-                    continue
-                start = s.done_prefix()
-                batches.append([
-                    (s, i, s.runtime.masks[i]) for i in range(start, boundary)
-                ])
-            if not batches:
-                break
-            tasks: list[tuple[_CellState, int, FaultMask]] = []
-            width = max(len(b) for b in batches)
-            for depth in range(width):
-                for b in batches:
-                    if depth < len(b):
-                        tasks.append(b[depth])
-            items = [(t[0].cell.spec, t[2]) for t in tasks]
-
-            def finish(task_index: int, record: FaultRecord,
-                       wall_s: float | None = None) -> None:
-                s, pos, _mask = tasks[task_index]
-                s.records[pos] = record
-                s.writer.add(pos, record)
-                if telemetry is not None:
-                    fm = s.cell.spec.fault_model
-                    telemetry.fault_finished(
-                        record, wall_s=wall_s,
-                        generator=fm.name if fm is not None else None)
-
-            run_tasks(items, workers, finish, telemetry=telemetry,
-                      policy=policy,
-                      initargs=(ckpt_policy, sanitizer, hang_cycles),
-                      item_timeout=item_timeout)
-            _write_manifest(manifest_path, grid, states)
-    finally:
-        for s in states:
-            if s.writer is not None:
-                s.writer.close()
-        _write_manifest(manifest_path, grid, states)
-        if telemetry is not None:
-            telemetry.campaign_finished()
-
     cells = []
-    for s in states:
-        result = _cell_result(s)
-        summary = result.summary()
-        summary["row"] = s.cell.row
-        summary["col"] = s.cell.col
-        summary["key"] = s.cell.key
-        summary["achieved_margin"] = s.achieved_margin(
-            grid.adaptive.confidence if grid.adaptive else 0.95
-        )
-        cells.append(summary)
+    for declared in grid.cells:
+        journal = out_dir / _cell_journal(declared.key)
+        cells.append(open_cell(
+            declared.spec, journal=journal,
+            resume=journal if resume else None, checkpoints=ckpt_policy,
+            sanitizer=sanitizer, hang_cycles=hang_cycles,
+        ))
+
+    def write_manifest() -> None:
+        _write_manifest(manifest_path, grid, cells)
+
+    write_manifest()
+    try:
+        run_cells(cells, workers, checkpoints=ckpt_policy,
+                  sanitizer=sanitizer, hang_cycles=hang_cycles,
+                  adaptive=grid.adaptive, telemetry=telemetry,
+                  labels={"matrix": grid.name}, on_round=write_manifest)
+    finally:
+        write_manifest()
+
+    confidence = grid.adaptive.confidence if grid.adaptive else 0.95
+    summaries = []
+    for declared, cell in zip(grid.cells, cells):
+        summary = cell.result().summary()
+        summary["row"] = declared.row
+        summary["col"] = declared.col
+        summary["key"] = declared.key
+        summary["achieved_margin"] = cell.achieved_margin(confidence)
+        summaries.append(summary)
     return MatrixResult(
-        name=grid.name, cells=cells, manifest_path=manifest_path,
+        name=grid.name, cells=summaries, manifest_path=manifest_path,
         clock_hz=grid.clock_hz,
     )

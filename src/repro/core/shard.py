@@ -66,8 +66,13 @@ from repro.core.journal import (
     raw_journal_lines,
     repair_torn_tail,
 )
-from repro.core.campaign import _worker, _worker_init
-from repro.core.matrix import MatrixGrid, cell_runtime, load_grid
+from repro.core.campaign import _worker, _worker_init, open_cell
+from repro.core.matrix import (
+    MatrixGrid,
+    adaptive_to_dict,
+    load_grid,
+    manifest_text,
+)
 from repro.core.sampling import AdaptiveSampling, error_margin_for, stop_decision
 from repro.core.sanitizer import DEFAULT_HANG_CYCLES
 from repro.core.supervisor import SupervisorPolicy, run_with_retry
@@ -322,15 +327,7 @@ class ShardStore:
             "shard_size": int(shard_size),
             "ttl_s": float(ttl_s),
             "clock_hz": grid.clock_hz,
-            "adaptive": (
-                {
-                    "target_margin": grid.adaptive.target_margin,
-                    "confidence": grid.adaptive.confidence,
-                    "batch": grid.adaptive.batch,
-                    "min_faults": grid.adaptive.min_faults,
-                }
-                if grid.adaptive is not None else None
-            ),
+            "adaptive": adaptive_to_dict(grid.adaptive),
             "cells": {
                 c.key: {"kind": c.kind, "row": c.row, "col": c.col,
                         "budget": int(c.spec.faults)}
@@ -689,7 +686,7 @@ def _run_shard(store: ShardStore, plan: dict, cell, shard: ShardSpec,
     """Execute one claimed shard: resume, heartbeat, split, journal, release."""
     runtime = runtimes.get(cell.key)
     if runtime is None:
-        runtime = runtimes[cell.key] = cell_runtime(cell, ckpt)
+        runtime = runtimes[cell.key] = open_cell(cell.spec, checkpoints=ckpt)
         store.write_meta(cell.key, {
             "budget": len(runtime.masks),
             "population_bits": runtime.population_bits,
@@ -902,22 +899,16 @@ def merge_shards(out_dir: str | Path, *,
         manifest_cells[cell_key] = entry
         result.cells[cell_key] = dict(entry)
 
-    manifest = {
-        "kind": "matrix-manifest",
-        "version": 1,
-        "name": plan.get("name"),
-        "fingerprint": plan.get("fingerprint"),
-        "adaptive": plan.get("adaptive"),
-        "cells": {
-            key: {k: v for k, v in entry.items() if k != "conflicts"}
-            for key, entry in manifest_cells.items()
-        },
-    }
+    text = manifest_text(
+        plan.get("name"), plan.get("fingerprint"), plan.get("adaptive"),
+        {key: {k: v for k, v in entry.items() if k != "conflicts"}
+         for key, entry in manifest_cells.items()},
+    )
     manifest_path = store.out_dir / "manifest.json"
 
     def write_manifest() -> None:
         tmp = store._tmp_name(store.out_dir)
-        tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+        tmp.write_text(text)
         os.replace(tmp, manifest_path)
     store._io(write_manifest, passthrough=())
     result.manifest_path = manifest_path

@@ -122,10 +122,6 @@ def enc_bcond(cond: int, imm20: int) -> int:
     return (_CANONICAL["bcond"] << 24) | (cond << 20) | (imm20 & 0xFFFFF)
 
 
-def enc_cbz(op: str, rt: int, imm19: int) -> int:
-    return (_CANONICAL[op] << 24) | (rt << 19) | (imm19 & 0x7FFFF)
-
-
 def enc_csel(op: str, rd: int, rn: int, rm: int, cond: int) -> int:
     return (_CANONICAL[op] << 24) | (rd << 19) | (rn << 14) | (rm << 9) | (cond << 5)
 

@@ -87,25 +87,22 @@ def _digest(text: str | bytes) -> str:
     return hashlib.sha256(text).hexdigest()[:16]
 
 
-def _journal_digest(path, ordered: bool = True) -> str:
+def _journal_digest(path) -> str:
     lines = []
     for line in path.read_text().splitlines():
         data = json.loads(line)
         if data.get("error"):
             data["error"] = data["error"].splitlines()[0]
         lines.append(json.dumps(data))
-    if not ordered:
-        # pool workers append in completion order
-        lines[1:] = sorted(lines[1:])
     return _digest("\n".join(lines) + "\n")
 
 
-def _digests(run, tmp_path, ordered: bool = True, **kw):
+def _digests(run, tmp_path, **kw):
     journal = tmp_path / "j.jsonl"
     telemetry = Telemetry()
     result = run(journal=journal, telemetry=telemetry, **kw)
     return (
-        _journal_digest(journal, ordered),
+        _journal_digest(journal),
         _digest(json.dumps(result.summary())),
         _digest(json.dumps(telemetry.aggregate.reconcilable())),
     )
@@ -154,9 +151,10 @@ def test_cpu_identity_adaptive(cfg, tmp_path):
 
 def test_cpu_identity_workers(cfg, tmp_path):
     spec = _cpu(cfg)
+    # a pool journals in mask order: the serial journal's bytes
     _check("cpu-workers2",
            _digests(lambda **kw: run_campaign(spec, workers=2, **kw),
-                    tmp_path, ordered=False))
+                    tmp_path))
 
 
 def _half_journal(path, keep: int) -> None:
