@@ -87,9 +87,11 @@ def _uop_key(uop) -> tuple:
 
 
 def _entry_key(entry: _RE) -> tuple:
+    # STATE, not __slots__: the issue-wakeup counts are derived state that
+    # restore rebuilds, and would only make equal futures digest apart
     return tuple(
         _uop_key(getattr(entry, slot)) if slot == "uop" else getattr(entry, slot)
-        for slot in _RE.__slots__
+        for slot in _RE.STATE
     )
 
 

@@ -262,6 +262,24 @@ def _check_iq_subset_of_rob(core) -> str | None:
     return None
 
 
+@_cpu_check("iq_wakeup_consistency", "iq", STRUCTURAL)
+def _check_iq_wakeup_consistency(core) -> str | None:
+    """Each issue-queue entry's outstanding-source count equals its number
+    of not-ready sources, and it sits on each such register's consumer
+    list once per source: issue reads the count instead of the sources."""
+    for e in core.iq:
+        waiting = [(prf, p) for prf, p in core._sources(e) if not prf.ready[p]]
+        if e.pending != len(waiting):
+            return (f"seq {e.seq}: outstanding-source count {e.pending}, "
+                    f"but {len(waiting)} sources are not ready")
+        for prf, p in waiting:
+            listed = sum(1 for c in prf.consumers[p] if c is e)
+            if listed != waiting.count((prf, p)):
+                return (f"seq {e.seq}: waits on {prf.name} p{p} but is "
+                        f"listed {listed} times among its consumers")
+    return None
+
+
 @_cpu_check("lsq_liveness", "lsq", STRUCTURAL)
 def _check_lsq_liveness(core) -> str | None:
     """Valid LQ (and uncommitted SQ) entries reference live ROB entries."""

@@ -54,6 +54,11 @@ class Cache:
         self.name = name
         self.cfg = cfg
         self.lower = lower
+        # geometry read on every access, hoisted off the config's properties
+        self.line_size = cfg.line_size
+        self.assoc = cfg.assoc
+        self.num_sets = cfg.num_sets
+        self.plru_levels = cfg.assoc.bit_length() - 1
         n = cfg.num_lines
         self.tags = [0] * n
         self.valid = [False] * n
@@ -75,38 +80,34 @@ class Cache:
         return self.cfg.line_size * 8
 
     def line_index(self, set_idx: int, way: int) -> int:
-        return set_idx * self.cfg.assoc + way
+        return set_idx * self.assoc + way
 
     def addr_set(self, addr: int) -> int:
-        return (addr // self.cfg.line_size) % self.cfg.num_sets
+        return (addr // self.line_size) % self.num_sets
 
     def addr_tag(self, addr: int) -> int:
-        return addr // (self.cfg.line_size * self.cfg.num_sets)
+        return addr // (self.line_size * self.num_sets)
 
     def line_base_addr(self, line: int) -> int:
-        set_idx = line // self.cfg.assoc
-        return (self.tags[line] * self.cfg.num_sets + set_idx) * self.cfg.line_size
+        set_idx = line // self.assoc
+        return (self.tags[line] * self.num_sets + set_idx) * self.line_size
 
     # ------------------------------------------------------------ PLRU
 
     def _plru_victim(self, set_idx: int) -> int:
-        assoc = self.cfg.assoc
         state = self.plru[set_idx]
         node = 0
         way = 0
-        levels = assoc.bit_length() - 1
-        for _ in range(levels):
+        for _ in range(self.plru_levels):
             bit = (state >> node) & 1
             way = (way << 1) | bit
             node = 2 * node + 1 + bit
         return way
 
     def _plru_touch(self, set_idx: int, way: int) -> None:
-        assoc = self.cfg.assoc
-        levels = assoc.bit_length() - 1
         state = self.plru[set_idx]
         node = 0
-        for level in range(levels - 1, -1, -1):
+        for level in range(self.plru_levels - 1, -1, -1):
             bit = (way >> level) & 1
             # point away from the touched way
             if bit:
@@ -119,10 +120,9 @@ class Cache:
     # ------------------------------------------------------------ lookup
 
     def _find(self, addr: int) -> int | None:
-        set_idx = self.addr_set(addr)
         tag = self.addr_tag(addr)
-        base = set_idx * self.cfg.assoc
-        for way in range(self.cfg.assoc):
+        base = self.addr_set(addr) * self.assoc
+        for way in range(self.assoc):
             line = base + way
             if self.valid[line] and self.tags[line] == tag:
                 return line
@@ -143,7 +143,7 @@ class Cache:
                 latency += self._write_lower(victim_addr, bytes(self.data[line]))
                 self.stats.writebacks += 1
             self.stats.evictions += 1
-        line_addr = addr - (addr % self.cfg.line_size)
+        line_addr = addr - (addr % self.line_size)
         block, lat = self._read_lower(line_addr)
         latency += lat
         self.tags[line] = self.addr_tag(addr)
@@ -156,9 +156,9 @@ class Cache:
 
     def _read_lower(self, line_addr: int) -> tuple[bytes, int]:
         if isinstance(self.lower, Cache):
-            return self.lower.read_block(line_addr, self.cfg.line_size)
+            return self.lower.read_block(line_addr, self.line_size)
         mem: MainMemory = self.lower
-        return mem.read_block(line_addr, self.cfg.line_size), mem.latency
+        return mem.read_block(line_addr, self.line_size), mem.latency
 
     def _write_lower(self, line_addr: int, block: bytes) -> int:
         if isinstance(self.lower, Cache):
@@ -176,7 +176,7 @@ class Cache:
         done = 0
         while done < width:
             a = addr + done
-            in_line = min(width - done, self.cfg.line_size - a % self.cfg.line_size)
+            in_line = min(width - done, self.line_size - a % self.line_size)
             chunk, lat = self._read_chunk(a, in_line)
             latency += lat
             value |= int.from_bytes(chunk, "little") << (8 * done)
@@ -191,8 +191,8 @@ class Cache:
             line, latency = self._fill(addr)
         else:
             self.stats.hits += 1
-        off = addr % self.cfg.line_size
-        self._plru_touch(self.addr_set(addr), line % self.cfg.assoc)
+        off = addr % self.line_size
+        self._plru_touch(line // self.assoc, line % self.assoc)
         if self.probe:
             self.probe.on_read(self, line, off, off + width)
         return bytes(self.data[line][off : off + width]), latency
@@ -204,7 +204,7 @@ class Cache:
         done = 0
         while done < width:
             a = addr + done
-            in_line = min(width - done, self.cfg.line_size - a % self.cfg.line_size)
+            in_line = min(width - done, self.line_size - a % self.line_size)
             latency += self._write_chunk(a, raw[done : done + in_line])
             done += in_line
         return latency
@@ -217,10 +217,10 @@ class Cache:
             line, latency = self._fill(addr)
         else:
             self.stats.hits += 1
-        off = addr % self.cfg.line_size
+        off = addr % self.line_size
         self.data[line][off : off + len(raw)] = raw
         self.dirty[line] = True
-        self._plru_touch(self.addr_set(addr), line % self.cfg.assoc)
+        self._plru_touch(line // self.assoc, line % self.assoc)
         if self.probe:
             self.probe.on_write(self, line, off, off + len(raw))
         return latency
@@ -258,7 +258,7 @@ class Cache:
             latency += extra
         else:
             self.stats.hits += 1
-        self._plru_touch(self.addr_set(line_addr), line % self.cfg.assoc)
+        self._plru_touch(line // self.assoc, line % self.assoc)
         if self.probe:
             self.probe.on_read(self, line, 0, size)
         return bytes(self.data[line][:size]), latency

@@ -19,6 +19,19 @@ Commit also records/compares the architectural trace (instruction bytes,
 destination values, store address/data, branch direction) which implements
 the paper's HVF methodology: the first commit-stage mismatch versus the
 fault-free trace marks the fault as an HVF *Corruption* (Figure 3a).
+
+Issue wakeup is event-driven, as in gem5's O3 dependency graph.  Rename
+gives every uop its functional-unit index and the number of its sources
+that are not yet ready, and puts it on the consumer list of each such
+physical register.  ``PhysRegFile.wake`` -- the one path from not-ready to
+ready: writeback, and the release of a squashed destination -- counts the
+register off every consumer.  Issue walks the queue in age order and takes
+the entries whose count is zero, so it never rescans operands.  The count
+is exactly "every source ready": when rename allocates a register that a
+queued uop still reads and counted ready (only a double release can do
+that), the uop waits for it again.  The counts and lists are derived
+state: snapshots and checkpoint digests leave them out, and ``restore``
+rebuilds them from the issue queue.
 """
 
 from __future__ import annotations
@@ -41,6 +54,12 @@ from repro.kernel.ir import MASK64
 
 ZERO_PHYS = -1  # pseudo physical register: hardwired zero
 
+#: functional-unit index of each uop kind: every kind has its own issue
+#: slots per cycle and its own execute latency
+_FU_INDEX = {kind: i for i, kind in enumerate(UopKind)}
+_FU_DIV = _FU_INDEX[UopKind.DIV]
+_FU_FDIV = _FU_INDEX[UopKind.FDIV]
+
 
 class CrashError(Exception):
     """A catastrophic guest event (the paper's Crash outcome class)."""
@@ -55,11 +74,15 @@ class CrashError(Exception):
 class _RE:
     """Reorder-buffer entry."""
 
-    __slots__ = (
+    #: the pipeline state a checkpoint digest covers
+    STATE = (
         "seq", "uop", "state", "phys_dst", "old_phys", "src_phys", "value",
         "addr", "store_data", "taken", "target", "exception", "lq_idx",
         "sq_idx", "pred_taken", "out_value", "squashed", "phase", "mmio",
     )
+    #: plus issue bookkeeping derived from it at rename: the functional-unit
+    #: index and the count of sources not yet ready
+    __slots__ = STATE + ("fu", "pending")
 
     WAIT = 0
     DONE = 2
@@ -84,6 +107,8 @@ class _RE:
         self.squashed = False
         self.phase = 0
         self.mmio = False
+        self.fu = _FU_INDEX[uop.kind]
+        self.pending = 0
 
 
 @dataclass
@@ -179,6 +204,23 @@ class OoOCore:
         # divider occupancy (unpipelined units)
         self._div_busy: list[int] = [0] * cfg.mul_div_units
         self._fdiv_busy: list[int] = [0] * cfg.fp_units
+        # issue slots per cycle and execute latency, by functional-unit
+        # index; loads time their own access, so they have no latency here
+        pools = {
+            UopKind.ALU: (cfg.int_alu_units, 1),
+            UopKind.MUL: (cfg.mul_div_units, cfg.mul_latency),
+            UopKind.DIV: (cfg.mul_div_units, cfg.div_latency),
+            UopKind.FPU: (cfg.fp_units, cfg.fp_latency),
+            UopKind.FDIV: (cfg.fp_units, cfg.fdiv_latency),
+            UopKind.LOAD: (cfg.load_ports, None),
+            UopKind.STORE: (cfg.store_ports, 1),
+            UopKind.BRANCH: (cfg.int_alu_units, 1),
+            UopKind.JUMP: (cfg.int_alu_units, 1),
+            UopKind.SYS: (1, 1),
+            UopKind.ILLEGAL: (cfg.width, 1),
+        }
+        self._fu_slots = [pools[kind][0] for kind in _FU_INDEX]
+        self._fu_latency = [pools[kind][1] for kind in _FU_INDEX]
         # commit trace (HVF machinery)
         self.trace_mode: str | None = None       # None | 'record' | 'compare'
         self.trace: list = []
@@ -203,15 +245,57 @@ class OoOCore:
             return 0
         return (self.prf_fp if fp else self.prf_int).read(phys)
 
-    def _phys_ready(self, phys: int, fp: bool) -> bool:
-        if phys == ZERO_PHYS:
-            return True
-        return (self.prf_fp if fp else self.prf_int).ready[phys]
-
     def _src_fp(self, uop: MicroOp, i: int) -> bool:
         if uop.srcs_fp and i < len(uop.srcs_fp):
             return uop.srcs_fp[i]
         return False
+
+    def _sources(self, entry: _RE) -> list[tuple[PhysRegFile, int]]:
+        """(register file, physical register) of each renamed source that
+        is not the hardwired zero."""
+        fps = entry.uop.srcs_fp
+        n_fp = len(fps)
+        return [
+            (self.prf_fp if i < n_fp and fps[i] else self.prf_int, p)
+            for i, p in enumerate(entry.src_phys)
+            if p != ZERO_PHYS
+        ]
+
+    # ================================================================ wakeup
+
+    def _await_sources(self, entry: _RE) -> None:
+        """Count ``entry``'s not-ready sources onto their consumer lists."""
+        seq = entry.seq
+        entry.pending = 0
+        for prf, p in self._sources(entry):
+            prf.read_seq[p] = seq
+            if not prf.ready[p]:
+                prf.wait(p, entry)
+
+    def _allocate(self, prf: PhysRegFile) -> int | None:
+        """Take a destination register off ``prf``'s free list.
+
+        It becomes not-ready, so each queued uop that reads it but counted
+        it ready waits for it again.  A sound free list never holds a
+        register a queued uop still reads.  The age test skips the scan
+        when every uop renamed to read the register is older than the
+        queue; a squash leaves younger readers' seqs behind, and the scan
+        then finds nothing in a fault-free run.
+        """
+        reg = prf.allocate()
+        iq = self.iq
+        if reg is None or not iq or prf.read_seq[reg] < iq[0].seq:
+            return reg
+        consumers = prf.consumers[reg]
+        for entry in iq:
+            if reg not in entry.src_phys:
+                continue
+            if any(c is entry for c in consumers):
+                continue  # already counts reg as not ready
+            for src_prf, p in self._sources(entry):
+                if src_prf is prf and p == reg:
+                    prf.wait(reg, entry)
+        return reg
 
     # ================================================================ fetch
 
@@ -314,7 +398,7 @@ class OoOCore:
                 prf = self.prf_fp if uop.dst_fp else self.prf_int
                 rat = self.rat_fp if uop.dst_fp else self.rat_int
                 arch = uop.dst % len(rat)
-                new_phys = prf.allocate()
+                new_phys = self._allocate(prf)
                 if new_phys is None:
                     # undo queue allocation and stall
                     if entry.lq_idx is not None:
@@ -329,56 +413,41 @@ class OoOCore:
             self.fetch_queue.pop(0)
             self.seq += 1
             self.rob.append(entry)
+            # after the destination allocation, which may itself make a
+            # source not-ready
+            self._await_sources(entry)
             self.iq.append(entry)
             renamed += 1
 
     # ================================================================ issue
 
     def _issue(self) -> None:
-        slots = {
-            UopKind.ALU: self.cfg.int_alu_units,
-            UopKind.MUL: self.cfg.mul_div_units,
-            UopKind.DIV: self.cfg.mul_div_units,
-            UopKind.FPU: self.cfg.fp_units,
-            UopKind.FDIV: self.cfg.fp_units,
-            UopKind.LOAD: self.cfg.load_ports,
-            UopKind.STORE: self.cfg.store_ports,
-            UopKind.BRANCH: self.cfg.int_alu_units,
-            UopKind.JUMP: self.cfg.int_alu_units,
-            UopKind.SYS: 1,
-            UopKind.ILLEGAL: self.cfg.width,
-        }
-        issued = 0
+        # No copy of the queue: a squash during issue rebinds self.iq
+        # instead of mutating the list walked here.
+        slots = self._fu_slots.copy()
+        width = self.cfg.width
         taken: list[_RE] = []
-        for entry in list(self.iq):
-            if issued >= self.cfg.width:
-                break
-            if entry.squashed:
+        for entry in self.iq:
+            if entry.pending or entry.squashed:
                 continue
-            uop = entry.uop
-            kind = uop.kind
-            if slots[kind] <= 0:
+            fu = entry.fu
+            if slots[fu] <= 0:
                 continue
-            ready = all(
-                self._phys_ready(p, self._src_fp(uop, i))
-                for i, p in enumerate(entry.src_phys)
-            )
-            if not ready:
-                continue
-            if kind is UopKind.DIV:
+            if fu == _FU_DIV:
                 unit = self._free_unit(self._div_busy)
                 if unit is None:
                     continue
                 self._div_busy[unit] = self.cycle + self.cfg.div_latency
-            elif kind is UopKind.FDIV:
+            elif fu == _FU_FDIV:
                 unit = self._free_unit(self._fdiv_busy)
                 if unit is None:
                     continue
                 self._fdiv_busy[unit] = self.cycle + self.cfg.fdiv_latency
-            slots[kind] -= 1
-            issued += 1
+            slots[fu] -= 1
             taken.append(entry)
             self._start_execute(entry)
+            if len(taken) >= width:
+                break
         if taken:
             taken_ids = set(map(id, taken))
             self.iq = [
@@ -390,21 +459,6 @@ class OoOCore:
             if until <= self.cycle:
                 return i
         return None
-
-    def _latency(self, kind: UopKind) -> int:
-        cfg = self.cfg
-        return {
-            UopKind.ALU: 1,
-            UopKind.MUL: cfg.mul_latency,
-            UopKind.DIV: cfg.div_latency,
-            UopKind.FPU: cfg.fp_latency,
-            UopKind.FDIV: cfg.fdiv_latency,
-            UopKind.BRANCH: 1,
-            UopKind.JUMP: 1,
-            UopKind.SYS: 1,
-            UopKind.STORE: 1,
-            UopKind.ILLEGAL: 1,
-        }[kind]
 
     def _start_execute(self, entry: _RE) -> None:
         uop = entry.uop
@@ -443,7 +497,7 @@ class OoOCore:
         entry.target = res.target
         if uop.kind is UopKind.SYS and uop.fn is SysFn.OUT:
             entry.out_value = srcvals[0] if srcvals else 0
-        self.inflight.append((self.cycle + self._latency(uop.kind), entry))
+        self.inflight.append((self.cycle + self._fu_latency[entry.fu], entry))
 
     def _addr_ok(self, addr: int, width: int) -> bool:
         if self.memory.is_mmio(addr):
@@ -724,7 +778,7 @@ class OoOCore:
                 arch = uop.dst % len(rat)
                 rat[arch] = entry.old_phys
                 prf.release(entry.phys_dst)
-                prf.ready[entry.phys_dst] = True
+                prf.wake(entry.phys_dst)
             if entry.lq_idx is not None:
                 self.lq.free(entry.lq_idx)
             if entry.sq_idx is not None and not self.sq.entries[entry.sq_idx].committed:
@@ -936,6 +990,8 @@ class OoOCore:
         self.last_commit_cycle = snap.get("last_commit_cycle", 0)
         self.rob = self._copy_entries(snap["rob"], memo)
         self.iq = self._copy_entries(snap["iq"], memo)
+        for entry in self.iq:  # the register files came back without lists
+            self._await_sources(entry)
         self.inflight = [
             (when, self._copy_entries([e], memo)[0])
             for when, e in snap["inflight"]

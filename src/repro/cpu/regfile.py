@@ -5,6 +5,13 @@ corrupted value flows to consumers through normal operand reads.  The free
 list lets the injector apply the paper's "fault in an unused entry is
 masked" early termination: a free physical register is guaranteed to be
 written (by the renamer) before its next read.
+
+Each register also carries the consumer list of event-driven issue wakeup:
+the issue-queue entries that count it among their not-yet-ready sources.
+Every not-ready -> ready change goes through :meth:`PhysRegFile.wake`,
+which counts the register off each consumer and clears the list.  The
+lists are derived from the issue queue, so :meth:`restore` clears them
+and the core rebuilds them.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ class PhysRegFile:
         self.ready = [True] * size
         self.free: list[int] = []
         self.probe: RegFileProbe | None = None
+        #: per register: the issue-queue entries waiting for it to be ready
+        self.consumers: list[list] = [[] for _ in range(size)]
+        #: per register: seq of the youngest uop renamed to read it
+        self.read_seq = [-1] * size
 
     def read(self, reg: int) -> int:
         if self.probe:
@@ -40,7 +51,7 @@ class PhysRegFile:
 
     def write(self, reg: int, value: int) -> None:
         self.values[reg] = value & ((1 << self.width) - 1)
-        self.ready[reg] = True
+        self.wake(reg)
         if self.probe:  # after mutation, so stuck-at enforcement sees the write
             self.probe.on_reg_write(self, reg)
 
@@ -55,8 +66,21 @@ class PhysRegFile:
     def release(self, reg: int) -> None:
         self.free.append(reg)
 
-    def is_free(self, reg: int) -> bool:
-        return reg in set(self.free)
+    # ------------------------------------------------------------ wakeup
+
+    def wait(self, reg: int, entry) -> None:
+        """Count not-ready ``reg`` as one of ``entry``'s outstanding sources."""
+        self.consumers[reg].append(entry)
+        entry.pending += 1
+
+    def wake(self, reg: int) -> None:
+        """Mark ``reg`` ready and count it off every consumer."""
+        self.ready[reg] = True
+        consumers = self.consumers[reg]
+        if consumers:
+            for entry in consumers:
+                entry.pending -= 1
+            self.consumers[reg] = []
 
     # ------------------------------------------------------------ injection
 
@@ -82,3 +106,5 @@ class PhysRegFile:
         self.values[:] = snap["values"]
         self.ready[:] = snap["ready"]
         self.free[:] = snap["free"]
+        self.consumers = [[] for _ in range(self.size)]
+        self.read_seq = [-1] * self.size
